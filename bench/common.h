@@ -99,15 +99,7 @@ inline core::ExperimentConfig config_from_cli(
     if (!topology.empty()) {
       config.framework.cluster.topology = sim::TopologySpec::parse(topology);
     }
-    if (!cli.get_bool("no-cache", false)) {
-      cache::CacheOptions cache_options;
-      const std::int64_t entries = cli.get_int("cache-mem", 4096);
-      util::require(entries >= 0, "--cache-mem must be >= 0");
-      cache_options.memory_entries = static_cast<std::size_t>(entries);
-      cache_options.disk_dir = cli.get("cache-dir", "");
-      config.framework.result_cache =
-          std::make_shared<cache::ResultCache>(cache_options);
-    }
+    config.framework.result_cache = cache::cache_from_cli(cli);
   } catch (const ConfigError& error) {
     std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
                  error.what());

@@ -264,7 +264,7 @@ struct SocketLoopResult {
   std::uint64_t ok = 0;
   std::uint64_t other = 0;  // shed/failed -- still answered, just not kOk
   double wall_seconds = 0;
-  svc::StoreStats store;
+  cache::StoreStats store;
 
   double reqs_per_sec() const {
     return static_cast<double>(ok + other) / std::max(wall_seconds, 1e-9);

@@ -60,7 +60,10 @@ BENCHMARK(BM_ProcessorSharing)->Arg(1 << 10);
 void BM_NetworkRerating(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
-    sim::Network network(engine, 8, 1e8, 50e-6, 1e9, 0);
+    sim::Network network(engine, sim::NetworkConfig{.node_count = 8,
+                                                    .bandwidth_bps = 1e8,
+                                                    .latency = 50e-6,
+                                                    .local_latency = 0.0});
     const int flows = static_cast<int>(state.range(0));
     for (int i = 0; i < flows; ++i) {
       network.transfer(i % 8, (i + 1) % 8, 100'000 + 1'000 * (i % 13), [] {});

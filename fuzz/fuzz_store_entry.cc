@@ -1,18 +1,17 @@
-// libFuzzer harness for the durable skeleton-store entry codec
-// (svc/store.h, PSKS1 framing).
+// libFuzzer harness for the blob-store entry codec (cache/store.h,
+// PSKBLOB1 framing), the one disk format of both the result cache and the
+// skeleton store.
 //
-// A store entry file is the one artifact pskd both writes and later
-// re-reads across restarts, so its decoder faces bytes that survived
-// crashes, torn writes and bit rot.  Invariants checked beyond "does not
-// crash":
-//   - anything decode_store_entry accepts satisfies the content-address
-//     invariant hash == fingerprint64(payload),
+// An entry file is the one artifact pskd and every cached sweep both write
+// and later re-read across restarts, so its decoder faces bytes that
+// survived crashes, torn writes and bit rot.  Invariants checked beyond
+// "does not crash":
 //   - accepted bytes are canonical: re-encoding the decoded entry
-//     reproduces the input exactly (there is only one valid encoding of
-//     a payload, so no mutation can alias another entry),
-//   - rejected bytes carry a typed error (Result-based API, no throws),
-//   - the quarantine diagnostic path (guard::salvage_skeleton_bytes over
-//     the damaged payload) never crashes on arbitrary input.
+//     reproduces the input exactly (there is only one valid encoding of a
+//     (key, value) pair, so no mutation can alias another entry), whether
+//     the entry is keyed (a result) or content-addressed (a skeleton, with
+//     an empty value),
+//   - rejected bytes carry a typed error (Result-based API, no throws).
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -20,37 +19,22 @@
 #include <string_view>
 
 #include "archive/wire.h"
-#include "guard/salvage.h"
-#include "svc/store.h"
+#include "cache/store.h"
 #include "util/error.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   try {
-    psk::archive::Result<psk::svc::StoreEntry> decoded =
-        psk::svc::decode_store_entry(bytes);
+    const psk::archive::Result<psk::cache::Blob> decoded =
+        psk::cache::decode_entry(bytes);
     if (decoded.ok()) {
-      const psk::svc::StoreEntry& entry = decoded.value();
-      if (entry.hash != psk::archive::fingerprint64(entry.payload)) {
-        std::abort();  // content-address invariant violated
-      }
-      const std::string reencoded =
-          psk::svc::encode_store_entry(entry.hash, entry.payload);
-      if (reencoded != bytes) {
+      const psk::cache::Blob& blob = decoded.value();
+      if (psk::cache::encode_entry(blob.key, blob.value) != bytes) {
         std::abort();  // accepted bytes must be the canonical encoding
       }
-    } else {
-      // The quarantine path: corrupt entries are inspected with the
-      // salvage decoder for the operator log.  The store runs this on
-      // whatever the disk returned, so it must hold up under arbitrary
-      // bytes.  The payload region is wherever the declared size points;
-      // feed the raw tail past the fixed header, clamped to the buffer.
-      if (bytes.size() > 17) {
-        psk::guard::SalvageReport report;
-        psk::guard::salvage_skeleton_bytes(
-            std::string(bytes.substr(17, bytes.size() - 17)), report);
-      }
+    } else if (decoded.error().render().empty()) {
+      std::abort();  // a rejection must say why
     }
   } catch (const psk::Error&) {
     // Result-based API; an Error here is tolerated but unexpected.

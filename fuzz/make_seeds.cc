@@ -13,12 +13,12 @@
 
 #include "archive/archive.h"
 #include "archive/codec.h"
+#include "cache/cache.h"
 #include "sig/io.h"
 #include "sig/signature.h"
 #include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "svc/frame.h"
-#include "svc/store.h"
 #include "trace/event.h"
 #include "trace/io.h"
 #include "util/error.h"
@@ -302,27 +302,28 @@ int main(int argc, char** argv) {
   write_file(root + "/svc_frame/empty.pskf", "");
 
   // ----------------------------------------------------- store entries
-  // The durable tier's on-disk framing (PSKS1): one valid entry, the
-  // classic crash shapes (truncation at each structural boundary), bit
-  // rot in the payload, and a checksum-consistent entry filed under the
-  // wrong hash (the content-address invariant must still reject it).
-  const std::string entry =
-      svc::encode_store_entry(archive::fingerprint64(skel_arch), skel_arch);
-  write_file(root + "/store_entry/valid.psks", entry);
-  write_file(root + "/store_entry/magic_only.psks", entry.substr(0, 5));
-  write_file(root + "/store_entry/header_only.psks", entry.substr(0, 17));
-  write_file(root + "/store_entry/torn_payload.psks",
+  // The blob store's on-disk framing (PSKBLOB1): a skeleton entry (the
+  // canonical container as key, empty value), a result entry (canonical
+  // key bytes and an encoded value), the classic crash shapes (truncation
+  // at each structural boundary), bit rot and trailing junk.
+  const std::string entry = cache::encode_entry(skel_arch, "");
+  cache::KeyBuilder key("fuzz-seed/1");
+  key.text("cell").f64(0.5);
+  write_file(root + "/store_entry/skeleton.pskb", entry);
+  write_file(root + "/store_entry/result.pskb",
+             cache::encode_entry(std::move(key).finish().bytes,
+                                 cache::encode_values({1.5, 2.25})));
+  write_file(root + "/store_entry/magic_only.pskb", entry.substr(0, 8));
+  write_file(root + "/store_entry/key_size_only.pskb", entry.substr(0, 12));
+  write_file(root + "/store_entry/torn_key.pskb",
              entry.substr(0, entry.size() * 2 / 3));
-  write_file(root + "/store_entry/missing_checksum.psks",
+  write_file(root + "/store_entry/missing_checksum.pskb",
              entry.substr(0, entry.size() - 8));
   std::string rotted = entry;
   rotted[entry.size() / 2] ^= 0x01;
-  write_file(root + "/store_entry/payload_bitrot.psks", rotted);
-  write_file(root + "/store_entry/wrong_hash.psks",
-             svc::encode_store_entry(archive::fingerprint64(skel_arch) ^ 1,
-                                     skel_arch));
-  write_file(root + "/store_entry/trailing_junk.psks", entry + "x");
-  write_file(root + "/store_entry/empty.psks", "");
+  write_file(root + "/store_entry/key_bitrot.pskb", rotted);
+  write_file(root + "/store_entry/trailing_junk.pskb", entry + "x");
+  write_file(root + "/store_entry/empty.pskb", "");
 
   std::printf("seed corpus written under %s\n", root.c_str());
   return 0;

@@ -1,7 +1,11 @@
 #include "archive/wire.h"
 
 #include <bit>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace psk::archive {
 
@@ -167,6 +171,47 @@ std::string fingerprint_hex(std::uint64_t hash) {
     hash >>= 4;
   }
   return out;
+}
+
+// ------------------------------------------------------------------ files
+
+Result<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Error{ErrorCode::kIo, "cannot open " + path + " for reading"};
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) {
+    return Error{ErrorCode::kIo, "read failure on " + path};
+  }
+  return buffer.str();
+}
+
+Status write_file_atomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  // Keeps the write's errno, not that of the cleanup after it.
+  const auto fail = [&](const std::string& what) -> Status {
+    const int saved_errno = errno;
+    std::remove(tmp.c_str());
+    return Error{ErrorCode::kIo,
+                 what + " (" +
+                     (saved_errno != 0 ? std::strerror(saved_errno)
+                                       : "unknown error") +
+                     ")"};
+  };
+  errno = 0;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return fail("cannot open " + tmp + " for writing");
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out) return fail("write failure on " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail("cannot rename " + tmp + " to " + path);
+  }
+  return {};
 }
 
 }  // namespace psk::archive

@@ -163,4 +163,14 @@ std::uint64_t fingerprint64(std::string_view bytes);
 /// Fixed-width lowercase hex rendering of a fingerprint (16 chars).
 std::string fingerprint_hex(std::uint64_t hash);
 
+// ------------------------------------------------------------------ files
+
+/// The whole contents of `path`; kIo when it cannot be opened or read.
+Result<std::string> read_file(const std::string& path);
+
+/// Writes `bytes` to `path + ".tmp"` and renames it onto `path`, so a
+/// crash mid-write never leaves a torn file under the final name.  kIo on
+/// failure, naming the step and the OS error; the temp file is removed.
+Status write_file_atomic(const std::string& path, std::string_view bytes);
+
 }  // namespace psk::archive

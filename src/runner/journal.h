@@ -25,7 +25,8 @@
 #include "runner/sweep.h"
 
 namespace psk::cache {
-class ResultCache;
+class BlobStore;
+using ResultCache = BlobStore;
 }
 namespace psk::obs {
 class MetricsRegistry;

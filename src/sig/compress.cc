@@ -200,14 +200,6 @@ SigSeq fold_loops(SigSeq seq, const FoldOptions& options) {
   return seq;
 }
 
-SigSeq fold_anchored(SigSeq seq, std::size_t max_period) {
-  return fold_anchored(std::move(seq), FoldOptions{max_period});
-}
-
-SigSeq fold_loops(SigSeq seq, std::size_t max_period) {
-  return fold_loops(std::move(seq), FoldOptions{max_period});
-}
-
 Signature compress_at_threshold(const trace::Trace& folded_trace,
                                 const ThresholdCompressOptions& options) {
   util::require(trace::is_fully_folded(folded_trace),
@@ -216,13 +208,6 @@ Signature compress_at_threshold(const trace::Trace& folded_trace,
   return build_signature(folded_trace, columns_of(folded_trace),
                          options.threshold, options.compress, nullptr,
                          nullptr);
-}
-
-Signature compress_at_threshold(const trace::Trace& folded_trace,
-                                double threshold,
-                                const CompressOptions& options) {
-  return compress_at_threshold(folded_trace,
-                               ThresholdCompressOptions{threshold, options});
 }
 
 Signature compress(const trace::Trace& folded_trace,

@@ -65,11 +65,6 @@ SigSeq fold_anchored(SigSeq seq, const FoldOptions& options = {});
 /// ones).  Exposed for unit testing.
 SigSeq fold_loops(SigSeq seq, const FoldOptions& options = {});
 
-/// Deprecated positional forms, kept as thin forwarders for one release:
-/// prefer the FoldOptions overloads above.
-SigSeq fold_anchored(SigSeq seq, std::size_t max_period);
-SigSeq fold_loops(SigSeq seq, std::size_t max_period);
-
 /// Compresses a *folded* trace (see trace::fold_nonblocking) into an
 /// execution signature.  Throws ConfigError when the trace still contains
 /// raw nonblocking events.  The same threshold is applied to all ranks so
@@ -88,11 +83,5 @@ struct ThresholdCompressOptions {
 /// One clustering+folding pass at a fixed threshold (no search).
 Signature compress_at_threshold(const trace::Trace& folded_trace,
                                 const ThresholdCompressOptions& options);
-
-/// Deprecated positional form, kept as a thin forwarder for one release:
-/// prefer the ThresholdCompressOptions overload above.
-Signature compress_at_threshold(const trace::Trace& folded_trace,
-                                double threshold,
-                                const CompressOptions& options = {});
 
 }  // namespace psk::sig

@@ -45,11 +45,4 @@ sig::SigSeq scale_sequence(const sig::SigSeq& seq, const ScaleSpec& spec);
 /// Parameter-scales a single event (compute and bytes divided by factor).
 sig::SigEvent scale_event(const sig::SigEvent& event, const ScaleSpec& spec);
 
-/// Deprecated positional forms, kept as thin forwarders for one release:
-/// prefer the ScaleSpec overloads above.
-sig::SigSeq scale_sequence(const sig::SigSeq& seq, double k,
-                           const ScaleOptions& options = {});
-sig::SigEvent scale_event(const sig::SigEvent& event, double factor,
-                          const ScaleOptions& options = {});
-
 }  // namespace psk::skeleton

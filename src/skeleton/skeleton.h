@@ -56,11 +56,6 @@ struct GoodSkeletonOptions {
 GoodSkeletonEstimate estimate_good_skeleton(
     const sig::Signature& signature, const GoodSkeletonOptions& options = {});
 
-/// Deprecated positional form, kept as a thin forwarder for one release:
-/// prefer the GoodSkeletonOptions overload above.
-GoodSkeletonEstimate estimate_good_skeleton(const sig::Signature& signature,
-                                            double dominance_fraction);
-
 /// Builds the skeleton for scaling factor `k` (>= 1).
 Skeleton build_skeleton(const sig::Signature& signature, double k,
                         const ScaleOptions& options = {});

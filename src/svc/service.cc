@@ -51,9 +51,11 @@ double percentile(std::vector<double> samples, double q) {
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
       pool_(options_.workers),
-      store_(StoreOptions{options_.skeleton_store_entries,
-                          options_.skeleton_store_bytes, options_.store_dir,
-                          options_.store_disk_bytes, options_.chaos}),
+      store_([this] {
+        cache::StoreOptions store = options_.store;
+        store.chaos = options_.chaos;
+        return store;
+      }()),
       constructed_at_(now_seconds()) {
   latencies_ms_.reserve(static_cast<std::size_t>(kLastStatusCode) + 1);
   for (int code = 0; code <= static_cast<int>(kLastStatusCode); ++code) {
@@ -349,7 +351,7 @@ ResponseHeader Service::execute(const Pending& pending) {
   }
   // Chaos worker stall: simulates a handler that hangs mid-request.  In
   // live mode a stall past the deadline is what trips the supervisor.
-  if (options_.chaos && options_.chaos->fire(ChaosSite::kWorkerStall)) {
+  if (options_.chaos && options_.chaos->fire(util::ChaosSite::kWorkerStall)) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options_.chaos->worker_stall_ms()));
   }
@@ -641,36 +643,17 @@ void Service::publish(obs::MetricsRegistry& metrics) const {
       .add(static_cast<double>(stats_.workers_replaced));
   metrics.counter("svc.supervisor.late_results_discarded")
       .add(static_cast<double>(stats_.late_results_discarded));
-  const StoreStats store = store_.stats();
-  metrics.counter("svc.store.inserted")
-      .add(static_cast<double>(store.inserted));
-  metrics.counter("svc.store.refreshed")
-      .add(static_cast<double>(store.refreshed));
+  const cache::StoreStats store = store_.stats();
+  store.publish(metrics, "svc.store");
+  // pskbench reads the store hit ratio under these spellings.
   metrics.counter("svc.store.hits").add(static_cast<double>(store.hits));
   metrics.counter("svc.store.misses").add(static_cast<double>(store.misses));
-  metrics.counter("svc.store.evicted").add(static_cast<double>(store.evicted));
-  metrics.counter("svc.store.entries").add(static_cast<double>(store.entries));
-  metrics.counter("svc.store.bytes").add(static_cast<double>(store.bytes));
-  metrics.counter("svc.store.disk_hits")
-      .add(static_cast<double>(store.disk_hits));
-  metrics.counter("svc.store.disk_write_fail")
-      .add(static_cast<double>(store.disk_write_fail));
-  metrics.counter("svc.store.disk_evicted")
-      .add(static_cast<double>(store.disk_evicted));
-  metrics.counter("svc.store.quarantined")
-      .add(static_cast<double>(store.quarantined));
-  metrics.counter("svc.store.restored")
-      .add(static_cast<double>(store.restored));
-  metrics.counter("svc.store.disk_entries")
-      .add(static_cast<double>(store.disk_entries));
-  metrics.counter("svc.store.disk_bytes")
-      .add(static_cast<double>(store.disk_bytes));
   if (options_.chaos) {
-    const ChaosStats chaos = options_.chaos->stats();
-    for (std::size_t site = 0; site < kChaosSiteCount; ++site) {
+    const util::ChaosStats chaos = options_.chaos->stats();
+    for (std::size_t site = 0; site < util::kChaosSiteCount; ++site) {
       const std::string prefix =
           std::string("svc.chaos.") +
-          chaos_site_name(static_cast<ChaosSite>(site));
+          util::chaos_site_name(static_cast<util::ChaosSite>(site));
       metrics.counter(prefix + ".consulted")
           .add(static_cast<double>(chaos.consulted[site]));
       metrics.counter(prefix + ".injected")

@@ -40,7 +40,7 @@ SessionEnd Session::run() {
     // Chaos read delay: the bytes sit unparsed for a moment, as if the
     // client were trickling them (slow-loris shape from the server side).
     if (options_.chaos &&
-        options_.chaos->fire(ChaosSite::kSessionReadDelay)) {
+        options_.chaos->fire(util::ChaosSite::kSessionReadDelay)) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           options_.chaos->read_delay_ms()));
     }
@@ -191,8 +191,8 @@ void Session::send_frame(FrameKind kind, std::string_view body) {
     return;
   }
   if (write_failed_) return;  // peer already gone; accounted, not silent
-  ChaosSchedule* const chaos = options_.chaos;
-  if (chaos && chaos->fire(ChaosSite::kSessionDisconnect)) {
+  util::ChaosSchedule* const chaos = options_.chaos;
+  if (chaos && chaos->fire(util::ChaosSite::kSessionDisconnect)) {
     // Mid-frame disconnect: push out a torn prefix of the frame, then kill
     // the connection.  The client must treat the tail as a dead peer, not
     // as a short response.
@@ -213,7 +213,7 @@ void Session::send_frame(FrameKind kind, std::string_view body) {
   // shape a full socket buffer produces.  Exercises both this loop and the
   // client's frame reassembly; the frame still arrives intact.
   std::size_t chunk_cap = framed.size();
-  if (chaos && chaos->fire(ChaosSite::kSessionShortWrite)) {
+  if (chaos && chaos->fire(util::ChaosSite::kSessionShortWrite)) {
     chunk_cap = std::max<std::size_t>(1, chaos->profile().short_write_bytes);
   }
   std::size_t sent = 0;

@@ -42,7 +42,7 @@ struct SessionOptions {
   std::size_t max_inflight = 32;
   /// Fault injection (null in production): read delays, short writes and
   /// mid-frame disconnects come from here.
-  ChaosSchedule* chaos = nullptr;
+  util::ChaosSchedule* chaos = nullptr;
 };
 
 /// Why a session's read loop ended; pskd maps these onto its exit ladder.

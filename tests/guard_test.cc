@@ -442,27 +442,30 @@ TEST(Salvage, MissingFileStillThrows) {
 
 TEST(CacheGuard, DiskWriteFailureDegradesToMemoryOnly) {
   ScratchDir dir("cache_fail");
-  cache::CacheOptions options;
+  cache::StoreOptions options;
   options.disk_dir = dir.file("cache");
   cache::ResultCache cache(options);
   const cache::CacheKey key = cache::sweep_cell_key("guard-test/1", "cell");
   // Make the temp-file path un-creatable even for root: a directory already
   // occupies it, so ofstream(tmp, trunc) must fail.
-  const std::string tmp = options.disk_dir + "/" +
-                          archive::fingerprint_hex(key.hash) + ".pskc.tmp";
+  const std::string tmp = cache.entry_path(key.hash) + ".tmp";
   fs::create_directories(tmp);
   cache.store(key, "payload");
   EXPECT_EQ(cache.stats().disk_write_failures, 1u);
   // The value still lives in the memory tier.
   EXPECT_EQ(cache.lookup(key).value_or(""), "payload");
-  // Degradation is sticky and counted once: later stores skip the disk.
+  // Degradation is per entry: the next store still reaches the disk.
   const cache::CacheKey other = cache::sweep_cell_key("guard-test/1", "o");
   cache.store(other, "other");
   EXPECT_EQ(cache.stats().disk_write_failures, 1u);
   EXPECT_EQ(cache.lookup(other).value_or(""), "other");
-  // Nothing landed on disk for the second key either.
-  EXPECT_FALSE(fs::exists(options.disk_dir + "/" +
-                          archive::fingerprint_hex(other.hash) + ".pskc"));
+  EXPECT_TRUE(fs::exists(cache.entry_path(other.hash)));
+  EXPECT_FALSE(fs::exists(cache.entry_path(key.hash)));
+  // Once the fault clears, storing the failed entry again persists it.
+  fs::remove_all(tmp);
+  cache.store(key, "payload");
+  EXPECT_TRUE(fs::exists(cache.entry_path(key.hash)));
+  EXPECT_EQ(cache.stats().disk_write_failures, 1u);
 }
 
 TEST(CacheGuard, DiskWriteFailureCounterInObsDump) {

@@ -397,19 +397,6 @@ TEST(Compress, ThresholdScheduleIsExactMultipleOfStep) {
   EXPECT_LE(signature.threshold, options.max_threshold + 1e-12);
 }
 
-// --------------------------------------- option-struct / positional parity
-
-TEST(OptionStructs, FoldOverloadsAreEquivalent) {
-  const std::vector<int> ids = {0, 1, 2, 0, 1, 2, 0, 1, 2, 3};
-  EXPECT_EQ(fold_loops(seq_from_ids(ids), FoldOptions{2}),
-            fold_loops(seq_from_ids(ids), std::size_t{2}));
-  EXPECT_EQ(fold_anchored(seq_from_ids(ids), FoldOptions{4}),
-            fold_anchored(seq_from_ids(ids), std::size_t{4}));
-  // Default-constructed options reproduce the historical default cap.
-  EXPECT_EQ(fold_loops(seq_from_ids(ids)),
-            fold_loops(seq_from_ids(ids), FoldOptions{}));
-}
-
 // ---------------------------------------------------------------- SoA view
 
 TEST(Soa, FingerprintIsPureOverStructuralFields) {
@@ -500,20 +487,6 @@ TEST(Soa, MismatchedColumnsAreRejected) {
   const trace::EventColumns empty;
   EXPECT_THROW(cluster_events(events, empty, ClusterOptions{}),
                ConfigError);
-}
-
-TEST(OptionStructs, CompressAtThresholdOverloadsAreEquivalent) {
-  const trace::Trace trace = traced_app("MG", apps::NasClass::kS);
-  const Signature via_struct =
-      compress_at_threshold(trace, ThresholdCompressOptions{0.05, {}});
-  const Signature via_positional = compress_at_threshold(trace, 0.05);
-  EXPECT_DOUBLE_EQ(via_struct.threshold, via_positional.threshold);
-  EXPECT_DOUBLE_EQ(via_struct.compression_ratio,
-                   via_positional.compression_ratio);
-  ASSERT_EQ(via_struct.ranks.size(), via_positional.ranks.size());
-  for (std::size_t r = 0; r < via_struct.ranks.size(); ++r) {
-    EXPECT_EQ(via_struct.ranks[r].roots, via_positional.ranks[r].roots);
-  }
 }
 
 }  // namespace

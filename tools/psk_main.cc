@@ -152,18 +152,6 @@ void apply_topology(const util::Cli& cli, sim::ClusterConfig& cluster) {
   if (!spec.empty()) cluster.topology = sim::TopologySpec::parse(spec);
 }
 
-/// Builds the result cache the --cache-* flags describe; null when the user
-/// passed --no-cache (call sites then run every simulation).
-std::shared_ptr<cache::ResultCache> cache_from_cli(const util::Cli& cli) {
-  if (cli.get_bool("no-cache", false)) return nullptr;
-  cache::CacheOptions options;
-  const std::int64_t entries = cli.get_int("cache-mem", 4096);
-  util::require(entries >= 0, "--cache-mem must be >= 0");
-  options.memory_entries = static_cast<std::size_t>(entries);
-  options.disk_dir = cli.get("cache-dir", "");
-  return std::make_shared<cache::ResultCache>(options);
-}
-
 /// Honours --cache-stats / --cache-stats=FILE.  The dump goes to stderr or
 /// a side file, never stdout, so cold and warm runs stay byte-identical on
 /// the primary output.
@@ -280,7 +268,7 @@ int cmd_run(const util::Cli& cli) {
   const bool observed = !trace_out.empty() || !metrics_out.empty();
 
   core::FrameworkOptions framework_options;
-  framework_options.result_cache = cache_from_cli(cli);
+  framework_options.result_cache = cache::cache_from_cli(cli);
   apply_topology(cli, framework_options.cluster);
   // Follow the file, not the default world size: a salvaged skeleton may
   // have fewer ranks than it was built with and must still replay.
@@ -312,7 +300,7 @@ int cmd_predict(const util::Cli& cli) {
   const double target = cli.get_double("target", 2.0);
   config.skeleton_sizes = {target};
   config.jobs = static_cast<int>(cli.get_int("jobs", 0));
-  config.framework.result_cache = cache_from_cli(cli);
+  config.framework.result_cache = cache::cache_from_cli(cli);
   apply_topology(cli, config.framework.cluster);
   core::ExperimentDriver driver(config);
 
@@ -375,7 +363,7 @@ int cmd_report(const util::Cli& cli) {
     while (std::getline(in, name, ',')) config.benchmarks.push_back(name);
   }
   config.jobs = static_cast<int>(cli.get_int("jobs", 0));
-  config.framework.result_cache = cache_from_cli(cli);
+  config.framework.result_cache = cache::cache_from_cli(cli);
   apply_topology(cli, config.framework.cluster);
   core::ExperimentDriver driver(config);
   for (const std::string& app : config.benchmarks) {
