@@ -1,6 +1,7 @@
 // Tests for the NAS-like benchmark suite.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,12 @@
 #include "util/error.h"
 
 namespace psk::apps {
+
+// Print a suite entry by name: gtest appends the printed parameter to each
+// test's listed name, and the default pointer print is an address that
+// changes from one process to the next.
+void PrintTo(const BenchmarkDef* def, std::ostream* os) { *os << def->name; }
+
 namespace {
 
 trace::Trace run_class(const BenchmarkDef& def, NasClass cls,
