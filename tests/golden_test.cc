@@ -7,6 +7,10 @@
 //     (tests/golden/pskd_responses.pskf).  The script is rebuilt here from
 //     the construction pipeline, so the request file also pins the canonical
 //     skeleton and trace bytes the script uploads.
+//   - skeleton digests: archive::fingerprint64 of the canonical skeleton
+//     bytes (the skeleton_hash pskd reports) for every bundled app at the
+//     default class-B skeleton sizes, against
+//     tests/golden/skeleton_digests.txt.
 //   - fig6: the prediction-error table of `fig6_error_by_scenario --jobs=4`,
 //     one row per cell, against pskbench/fig6_reference.txt.
 //
@@ -27,6 +31,7 @@
 #include "archive/archive.h"
 #include "archive/codec.h"
 #include "archive/wire.h"
+#include "core/experiment.h"
 #include "core/framework.h"
 #include "svc/frame.h"
 
@@ -201,6 +206,26 @@ TEST(GoldenPskd, PipeResponsesArePinned) {
   EXPECT_EQ(parsed[5].status, svc::StatusCode::kOk);        // salvaged
   EXPECT_TRUE(parsed[5].degraded);
   expect_golden("tests/golden/pskd_responses.pskf", responses);
+}
+
+// ------------------------------------------------------ skeleton digests
+
+TEST(GoldenSkeletons, CanonicalDigestsArePinned) {
+  core::ExperimentDriver driver;
+  std::ostringstream digests;
+  digests << "# app size_s fingerprint64(canonical skeleton bytes), class "
+          << apps::class_name(driver.config().app_class) << "\n";
+  for (const std::string& app : driver.config().benchmarks) {
+    for (double size : driver.config().skeleton_sizes) {
+      const std::string bytes =
+          container(archive::PayloadKind::kSkeleton, archive::kSkeletonVersion,
+                    driver.skeleton_for_size(app, size));
+      digests << app << ' ' << size << ' '
+              << archive::fingerprint_hex(archive::fingerprint64(bytes))
+              << '\n';
+    }
+  }
+  expect_golden("tests/golden/skeleton_digests.txt", digests.str());
 }
 
 // ------------------------------------------------------------------ fig6
