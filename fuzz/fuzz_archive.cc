@@ -1,20 +1,32 @@
 // libFuzzer harness for the PSKARCH1 container and payload codecs.
 //
 // Exercises the full untrusted-bytes surface: frame parsing (magic,
-// versions, size, checksum), the strict payload decoders, and the prefix
-// decoders the salvage layer leans on.  The archive API reports errors
-// through Result, so nothing here should throw at all; the prefix decoders
-// additionally promise to never fail on mere truncation, which makes every
-// mutated frame a meaningful input for them.
+// versions, size, checksum), the strict payload decoders, the prefix
+// decoders, and the salvage layer on top of them (its hand-parsed header
+// probe included).  The archive API reports errors through Result, so
+// nothing here should throw at all; the prefix decoders additionally
+// promise to never fail on mere truncation, which makes every mutated frame
+// a meaningful input for them.  Whatever decodes or salvages is run through
+// the guard validators, so their recursive walks see fuzzer-shaped loop
+// nests as well.
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "archive/archive.h"
 #include "archive/codec.h"
+#include "guard/salvage.h"
+#include "guard/validate.h"
 #include "util/error.h"
 
 namespace {
+
+template <typename T, typename Validate>
+void check(const psk::archive::Result<T>& value, Validate validate) {
+  if (value.ok()) (void)validate(value.value()).render();
+}
 
 void decode_payload(psk::archive::PayloadKind kind, std::string_view payload,
                     std::uint32_t version) {
@@ -22,18 +34,40 @@ void decode_payload(psk::archive::PayloadKind kind, std::string_view payload,
   psk::archive::PrefixStats stats;
   switch (kind) {
     case PayloadKind::kTrace:
-      (void)psk::archive::decode_trace(payload, version);
+      check(psk::archive::decode_trace(payload, version),
+            psk::guard::validate_trace);
       (void)psk::archive::decode_trace_prefix(payload, version, stats);
       break;
     case PayloadKind::kSignature:
-      (void)psk::archive::decode_signature(payload, version);
+      check(psk::archive::decode_signature(payload, version),
+            psk::guard::validate_signature);
       (void)psk::archive::decode_signature_prefix(payload, version, stats);
       break;
     case PayloadKind::kSkeleton:
-      (void)psk::archive::decode_skeleton(payload, version);
+      check(psk::archive::decode_skeleton(payload, version),
+            psk::guard::validate_skeleton);
       (void)psk::archive::decode_skeleton_prefix(payload, version, stats);
       break;
   }
+}
+
+template <typename T, typename Validate>
+void salvaged(const std::optional<T>& value,
+              const psk::guard::SalvageReport& report, Validate validate) {
+  (void)report.render();
+  if (value) (void)validate(*value).render();
+}
+
+/// Salvage of the same bytes as each payload kind: it must recover, refuse
+/// or throw psk::Error -- never crash.
+void salvage_all(const std::string& bytes) {
+  psk::guard::SalvageReport report;
+  salvaged(psk::guard::salvage_trace_bytes(bytes, report), report,
+           psk::guard::validate_trace);
+  salvaged(psk::guard::salvage_signature_bytes(bytes, report), report,
+           psk::guard::validate_signature);
+  salvaged(psk::guard::salvage_skeleton_bytes(bytes, report), report,
+           psk::guard::validate_skeleton);
 }
 
 }  // namespace
@@ -55,6 +89,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     decode_payload(psk::archive::PayloadKind::kTrace, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSignature, bytes, 1);
     decode_payload(psk::archive::PayloadKind::kSkeleton, bytes, 1);
+    salvage_all(std::string(bytes));
   } catch (const psk::Error&) {
     // Result-based API; an Error here is tolerated but unexpected.
   }

@@ -1,9 +1,5 @@
 #include "archive/archive.h"
 
-#include "sig/io.h"
-#include "skeleton/io.h"
-#include "trace/io.h"
-
 namespace psk::archive {
 
 namespace {
@@ -22,34 +18,35 @@ Status save_as(const std::string& path, PayloadKind kind,
   return write_file_atomic(path, bytes);
 }
 
-/// Loads the frame for `kind` from `path`, or kBadMagic when the file is a
-/// pre-archive (legacy) format the caller should fall back to.
-Result<Frame> load_frame(const std::string& path, PayloadKind kind) {
-  Result<std::string> bytes = read_file(path);
-  if (!bytes.ok()) return bytes.error();
-  Result<Frame> frame = read_frame(bytes.value());
+/// Decodes a whole archive held in memory, refusing other payload kinds.
+template <typename T>
+Result<T> read_as(std::string_view bytes, PayloadKind kind,
+                  Result<T> (*decode)(std::string_view, std::uint32_t)) {
+  Result<Frame> frame = read_frame(bytes);
   if (!frame.ok()) return frame.error();
   if (frame.value().kind != kind) {
     return Error{ErrorCode::kBadKind,
-                 path + " holds a " +
+                 std::string("holds a ") +
                      payload_kind_name(frame.value().kind) + ", wanted a " +
                      payload_kind_name(kind)};
   }
-  return frame;
+  return decode(frame.value().payload, frame.value().payload_version);
 }
 
-/// Wraps a legacy (pre-archive) loader, translating its exceptions into
-/// typed errors.
-template <typename Fn>
-auto load_legacy(const std::string& path, Fn fn)
-    -> Result<decltype(fn(path))> {
-  try {
-    return fn(path);
-  } catch (const psk::FormatError& e) {
-    return Error{ErrorCode::kCorrupt, path + ": " + e.what()};
-  } catch (const psk::Error& e) {
-    return Error{ErrorCode::kIo, path + ": " + e.what()};
+/// Reads `path` and decodes it with `read`; failures name the file.
+template <typename T>
+Result<T> load_as(const std::string& path,
+                  Result<T> (*read)(std::string_view)) {
+  Result<std::string> bytes = read_file(path);
+  if (!bytes.ok()) return bytes.error();
+  Result<T> value = read(bytes.value());
+  if (value.ok()) return value;
+  const Error& error = value.error();
+  if (error.code == ErrorCode::kBadKind) {
+    return Error{error.code, path + " " + error.message};
   }
+  return Error{error.code,
+               path + " is not a psk archive (" + error.message + ")"};
 }
 
 }  // namespace
@@ -80,7 +77,7 @@ bool looks_like_archive(std::string_view bytes) {
 
 Result<Frame> read_frame(std::string_view bytes) {
   if (!looks_like_archive(bytes)) {
-    return Error{ErrorCode::kBadMagic, "not a psk archive"};
+    return Error{ErrorCode::kBadMagic, "no PSKARCH1 magic"};
   }
   Cursor in(bytes.substr(kMagic.size()));
   const std::uint16_t container_version = in.u16();
@@ -138,40 +135,28 @@ Status save(const std::string& path, const skeleton::Skeleton& skeleton) {
   return save_as(path, PayloadKind::kSkeleton, kSkeletonVersion, skeleton);
 }
 
+Result<trace::Trace> read_trace(std::string_view bytes) {
+  return read_as(bytes, PayloadKind::kTrace, decode_trace);
+}
+
+Result<sig::Signature> read_signature(std::string_view bytes) {
+  return read_as(bytes, PayloadKind::kSignature, decode_signature);
+}
+
+Result<skeleton::Skeleton> read_skeleton(std::string_view bytes) {
+  return read_as(bytes, PayloadKind::kSkeleton, decode_skeleton);
+}
+
 Result<trace::Trace> load_trace(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kTrace);
-  if (frame.ok()) {
-    return decode_trace(frame.value().payload, frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  // Versioned fallback: pre-archive text and binary trace files.
-  return load_legacy(path, [](const std::string& p) {
-    return trace::load_trace(p);
-  });
+  return load_as(path, read_trace);
 }
 
 Result<sig::Signature> load_signature(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kSignature);
-  if (frame.ok()) {
-    return decode_signature(frame.value().payload,
-                            frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  return load_legacy(path, [](const std::string& p) {
-    return sig::load_signature(p);
-  });
+  return load_as(path, read_signature);
 }
 
 Result<skeleton::Skeleton> load_skeleton(const std::string& path) {
-  Result<Frame> frame = load_frame(path, PayloadKind::kSkeleton);
-  if (frame.ok()) {
-    return decode_skeleton(frame.value().payload,
-                           frame.value().payload_version);
-  }
-  if (frame.error().code != ErrorCode::kBadMagic) return frame.error();
-  return load_legacy(path, [](const std::string& p) {
-    return skeleton::load_skeleton(p);
-  });
+  return load_as(path, read_skeleton);
 }
 
 }  // namespace psk::archive

@@ -1,6 +1,5 @@
-// The unified psk archive: one versioned container for traces, signatures
-// and skeletons, replacing the three divergent save/load surfaces
-// (trace::io, sig::io, skeleton::io).
+// The psk archive: the one on-disk format for traces, signatures and
+// skeletons (there is no other reader or writer for them).
 //
 // Container layout (all integers explicit little-endian):
 //
@@ -13,10 +12,8 @@
 //   24      n     payload (canonical codec bytes)
 //   24+n    8     FNV-1a fingerprint of the payload
 //
-// Loaders keep the pre-archive formats as a versioned fallback: a file that
-// does not start with the archive magic is handed to the legacy text/binary
-// readers, so existing example files keep loading.  Errors are typed
-// (Result<T>/Status); use .or_throw() where exceptions are preferred.
+// Errors are typed (Result<T>/Status); use .or_throw() where exceptions are
+// preferred.
 #pragma once
 
 #include <string>
@@ -57,14 +54,19 @@ bool looks_like_archive(std::string_view bytes);
 
 // ------------------------------------------------------- file operations
 //
-// save_* writes the archive container atomically (temp file + rename): a
-// crashed writer never leaves a torn file at `path`.  load_* reads an
-// archive container, falling back to the legacy format readers when the
-// file predates the container.
+// save writes the archive container atomically (temp file + rename): a
+// crashed writer never leaves a torn file at `path`.  read_* decode a whole
+// archive already in memory; load_* read `path` and decode it, failing with
+// kIo when the file cannot be read and with a message naming the file when
+// it is not an archive of the wanted kind.
 
 Status save(const std::string& path, const trace::Trace& trace);
 Status save(const std::string& path, const sig::Signature& signature);
 Status save(const std::string& path, const skeleton::Skeleton& skeleton);
+
+Result<trace::Trace> read_trace(std::string_view bytes);
+Result<sig::Signature> read_signature(std::string_view bytes);
+Result<skeleton::Skeleton> read_skeleton(std::string_view bytes);
 
 Result<trace::Trace> load_trace(const std::string& path);
 Result<sig::Signature> load_signature(const std::string& path);

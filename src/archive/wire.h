@@ -27,7 +27,7 @@ namespace psk::archive {
 
 enum class ErrorCode {
   kIo,           // file missing / unreadable / unwritable
-  kBadMagic,     // not an archive and not a recognized legacy format
+  kBadMagic,     // the bytes do not start with the expected magic
   kBadVersion,   // container or payload version newer than this reader
   kBadKind,      // archive holds a different payload kind than requested
   kCorrupt,      // framing, checksum or field-level decode failure

@@ -1,12 +1,13 @@
-// Recovery of truncated or torn trace / signature / skeleton files.
+// Recovery of truncated or torn trace / signature / skeleton archives.
 //
 // A crashed tracer, a full disk, or a partial copy leaves a file whose
 // prefix is perfectly good data.  The strict loaders reject it outright;
 // salvage_* instead recovers everything up to the last verifiable unit --
-// whole events for text traces, whole events/ranks for archive payloads --
-// and reports exactly what was kept and where the damage starts (line
-// number for text, byte offset for binary), so `--validate=salvage` can
-// proceed on the recovered prefix while telling the user what was lost.
+// whole events for traces, whole ranks for signatures and skeletons -- and
+// reports exactly what was kept and the byte offset where the damage
+// starts, so `--validate=salvage` can proceed on the recovered prefix while
+// telling the user what was lost.  Only PSKARCH1 archives are salvaged; any
+// other bytes recover nothing.
 #pragma once
 
 #include <optional>
@@ -31,11 +32,8 @@ struct SalvageReport {
   std::uint64_t ranks_kept = 0;
   std::uint64_t events_expected = 0;
   std::uint64_t events_kept = 0;
-  /// Text inputs: 1-based line number of the first unusable line (0 when
-  /// not applicable or the file was clean).
-  std::size_t line = 0;
-  /// Binary inputs: file offset of the first byte that could not be used
-  /// (0 when not applicable or the file was clean).
+  /// File offset of the first byte that could not be used (0 when the file
+  /// was clean or salvage stopped before reaching the payload).
   std::size_t byte_offset = 0;
   /// Why salvage stopped, empty when clean.
   std::string detail;
@@ -44,11 +42,12 @@ struct SalvageReport {
   std::string render() const;
 };
 
-/// Each salvor first tries the strict loader; on success the report is
-/// `clean`.  On a format error it recovers the longest verifiable prefix.
-/// Returns nullopt (with report.recovered == false) when nothing usable
-/// survives -- e.g. the header itself is gone.  I/O errors (missing file)
-/// still throw, as there is nothing to salvage.
+/// Each salvor reads the file once and first decodes it strictly; on
+/// success the report is `clean`.  On a format error it recovers the
+/// longest verifiable prefix.  Returns nullopt (with report.recovered ==
+/// false) when nothing usable survives -- e.g. the header itself is gone.
+/// I/O errors (missing file) throw ConfigError, as there is nothing to
+/// salvage.
 std::optional<trace::Trace> salvage_trace_file(const std::string& path,
                                                SalvageReport& report);
 std::optional<sig::Signature> salvage_signature_file(const std::string& path,

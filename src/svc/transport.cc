@@ -156,6 +156,7 @@ SocketServer::~SocketServer() {
     }
     threads_.clear();
   }
+  ::close(listen_fd_);
   if (address_.kind == ListenAddress::Kind::kUnix) {
     ::unlink(address_.path.c_str());
   }
@@ -192,7 +193,7 @@ void SocketServer::serve(std::size_t max_connections) {
     if (fd < 0) {
       const int error = errno;
       const AcceptAction action = classify_accept_errno(error);
-      // stop() closed the listener out from under us; everything looks
+      // stop() shut the listener down under us; everything looks
       // fatal then, and the loop must end either way.
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -267,11 +268,11 @@ void SocketServer::stop() {
       if (auto session = weak.lock()) to_abort.push_back(std::move(session));
     }
   }
-  // Closing the listener unblocks accept(); aborting the sessions unblocks
-  // their reads so serve() can join them.
+  // Shutting the listener down unblocks accept(); aborting the sessions
+  // unblocks their reads so serve() can join them.  The descriptor stays
+  // open until the destructor, so serve() never sees it reassigned or its
+  // number reused by another open.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   for (const auto& session : to_abort) session->abort();
 }
 

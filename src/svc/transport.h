@@ -112,6 +112,7 @@ class SocketServer {
   ListenAddress address_;
   Service& service_;
   SessionOptions session_options_;
+  /// Written only by the constructor and closed only by the destructor.
   int listen_fd_ = -1;
 
   mutable std::mutex mutex_;

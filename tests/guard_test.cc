@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "archive/archive.h"
+#include "archive/codec.h"
 #include "cache/cache.h"
 #include "guard/deadlock.h"
 #include "guard/salvage.h"
@@ -20,13 +21,10 @@
 #include "mpi/world.h"
 #include "obs/metrics.h"
 #include "runner/journal.h"
-#include "sig/io.h"
 #include "sig/signature.h"
 #include "sim/machine.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "trace/event.h"
-#include "trace/io.h"
 #include "util/error.h"
 
 namespace psk {
@@ -307,10 +305,49 @@ TEST(Validate, SkeletonScalingFactorBelowOneIsAnError) {
 
 // ---------------------------------------------------------------- salvage
 
+/// The archive file bytes of `value`, as archive::save writes them.
+template <typename T>
+std::string archive_bytes(archive::PayloadKind kind, const T& value) {
+  std::string payload;
+  archive::encode(payload, value);
+  std::string bytes;
+  archive::write_frame(bytes, kind, 1, payload);
+  return bytes;
+}
+
+/// tiny_signature() with a second, identical rank.
+sig::Signature two_rank_signature() {
+  sig::Signature signature = tiny_signature();
+  sig::RankSignature second = signature.ranks[0];
+  second.rank = 1;
+  signature.ranks.push_back(second);
+  return signature;
+}
+
+/// A signature archive torn inside its last rank: the 8-byte checksum and
+/// the tail of rank 1 are gone.
+std::string torn_signature_bytes() {
+  const std::string bytes = archive_bytes(archive::PayloadKind::kSignature,
+                                          two_rank_signature());
+  return bytes.substr(0, bytes.size() - 20);
+}
+
+/// A signature payload header (name, threshold, ratio) followed by `tail`.
+std::string signature_header_archive(const std::string& tail) {
+  std::string payload;
+  archive::put_string(payload, "x");
+  archive::put_f64(payload, 0.1);
+  archive::put_f64(payload, 1.0);
+  payload += tail;
+  std::string bytes;
+  archive::write_frame(bytes, archive::PayloadKind::kSignature, 1, payload);
+  return bytes;
+}
+
 TEST(Salvage, CleanTraceFileIsClean) {
   ScratchDir dir("salvage_clean");
   const std::string path = dir.file("t.trace");
-  trace::save_trace(path, matched_pair_trace());
+  ASSERT_TRUE(archive::save(path, matched_pair_trace()).ok());
   guard::SalvageReport report;
   const auto trace = guard::salvage_trace_file(path, report);
   ASSERT_TRUE(trace.has_value());
@@ -319,23 +356,30 @@ TEST(Salvage, CleanTraceFileIsClean) {
   EXPECT_EQ(trace->rank_count(), 2);
 }
 
-TEST(Salvage, TruncatedTextTraceKeepsEventPrefix) {
+TEST(Salvage, TruncatedTraceKeepsEventPrefix) {
   ScratchDir dir("salvage_trunc");
   const std::string path = dir.file("t.trace");
   trace::Trace trace = matched_pair_trace();
-  // Give rank 1 a second event so truncating mid-line drops exactly it.
+  // Give rank 1 a second event so truncating inside it drops exactly it.
   trace.ranks[1].events.push_back(trace.ranks[1].events[0]);
-  const std::string text = trace::trace_to_string(trace);
-  // Cut inside the last event line.
-  write_file(path, text.substr(0, text.size() - 10));
+  const std::string bytes = archive_bytes(archive::PayloadKind::kTrace, trace);
+  // Cut the checksum and the last few bytes of the last event.
+  write_file(path, bytes.substr(0, bytes.size() - 12));
   guard::SalvageReport report;
   const auto salvaged = guard::salvage_trace_file(path, report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_FALSE(report.clean);
   EXPECT_TRUE(report.recovered);
   EXPECT_EQ(report.events_kept + 1, report.events_expected);
-  EXPECT_GT(report.line, 0u);  // text diagnostics carry a line number
   EXPECT_EQ(salvaged->event_count(), trace.event_count() - 1);
+  // The damage is reported as the file offset where the dropped event
+  // starts.
+  EXPECT_GT(report.byte_offset, 0u);
+  EXPECT_LT(report.byte_offset, bytes.size() - 12);
+  EXPECT_NE(report.render().find("(byte " +
+                                 std::to_string(report.byte_offset) + ")"),
+            std::string::npos)
+      << report.render();
 }
 
 TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
@@ -359,12 +403,7 @@ TEST(Salvage, TruncatedArchiveKeepsDecodedPrefix) {
 TEST(Salvage, TornSignatureDropsWholeRanks) {
   ScratchDir dir("salvage_sig");
   const std::string path = dir.file("s.sig");
-  sig::Signature signature = tiny_signature();
-  sig::RankSignature second = signature.ranks[0];
-  second.rank = 1;
-  signature.ranks.push_back(second);
-  const std::string text = sig::signature_to_string(signature);
-  write_file(path, text.substr(0, text.size() - 5));
+  write_file(path, torn_signature_bytes());
   guard::SalvageReport report;
   const auto salvaged = guard::salvage_signature_file(path, report);
   ASSERT_TRUE(salvaged.has_value());
@@ -376,46 +415,46 @@ TEST(Salvage, TornSignatureDropsWholeRanks) {
 }
 
 TEST(Salvage, RanksLineTornBeforeCountIsRejected) {
-  // A file torn exactly mid-"ranks N" leaves "ranks " with no count field;
-  // salvage must diagnose it, not index past the end of the split fields.
+  // A file torn inside the 4-byte rank count: salvage must diagnose it,
+  // not read past the end of the payload.
   ScratchDir dir("salvage_torn_ranks");
   const std::string path = dir.file("s.sig");
-  write_file(path, "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks ");
+  write_file(path, signature_header_archive(std::string(2, '\x02')));
   guard::SalvageReport report;
   EXPECT_FALSE(guard::salvage_signature_file(path, report).has_value());
   EXPECT_FALSE(report.recovered);
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
+  EXPECT_EQ(report.ranks_expected, 0u);
+  EXPECT_NE(report.detail.find("truncated"), std::string::npos)
       << report.render();
 }
 
 TEST(Salvage, ImplausibleRanksCountIsRejected) {
-  // stoull would wrap "ranks -1" to 2^64-1; both text salvors must refuse
-  // it instead of reporting absurd expectations.
+  // A rank count of 2^32-1 over a few bytes: salvage must refuse it
+  // instead of reporting absurd expectations.
+  std::string count;
+  archive::put_u32(count, 0xFFFFFFFFu);
   guard::SalvageReport report;
-  EXPECT_FALSE(guard::salvage_signature_bytes(
-                   "psk-signature 1\napp x\nthreshold 0.1\nratio 1\nranks -1\n",
-                   report)
+  EXPECT_FALSE(guard::salvage_signature_bytes(signature_header_archive(count),
+                                              report)
                    .has_value());
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
+  EXPECT_NE(report.detail.find("implausible rank count"), std::string::npos)
       << report.render();
   EXPECT_EQ(report.ranks_expected, 0u);
-  EXPECT_FALSE(
-      guard::salvage_trace_bytes("psk-trace 1\napp x\nranks -1\n", report)
-          .has_value());
-  EXPECT_NE(report.detail.find("bad ranks count"), std::string::npos)
+  std::string payload;
+  archive::put_string(payload, "x");
+  archive::put_u32(payload, 0xFFFFFFFFu);
+  std::string trace_bytes;
+  archive::write_frame(trace_bytes, archive::PayloadKind::kTrace, 1, payload);
+  EXPECT_FALSE(guard::salvage_trace_bytes(trace_bytes, report).has_value());
+  EXPECT_NE(report.detail.find("implausible rank count"), std::string::npos)
       << report.render();
   EXPECT_EQ(report.ranks_expected, 0u);
 }
 
 TEST(Salvage, BytesEntryPointRecoversTornSignature) {
-  sig::Signature signature = tiny_signature();
-  sig::RankSignature second = signature.ranks[0];
-  second.rank = 1;
-  signature.ranks.push_back(second);
-  const std::string text = sig::signature_to_string(signature);
   guard::SalvageReport report;
   const auto salvaged =
-      guard::salvage_signature_bytes(text.substr(0, text.size() - 5), report);
+      guard::salvage_signature_bytes(torn_signature_bytes(), report);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_TRUE(report.recovered);
   EXPECT_EQ(report.ranks_kept, 1u);

@@ -1,14 +1,14 @@
-// Tests for signature and skeleton text serialization.
+// Tests for the archive round-trip of signatures and skeletons.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
 #include "apps/nas.h"
+#include "archive/archive.h"
+#include "archive/codec.h"
 #include "core/framework.h"
 #include "sig/compress.h"
-#include "sig/io.h"
-#include "skeleton/io.h"
 #include "skeleton/validate.h"
 #include "trace/fold.h"
 #include "util/error.h"
@@ -23,6 +23,18 @@ sig::Signature sample_signature(const char* app = "MG") {
   sig::CompressOptions options;
   options.target_ratio = 10;
   return sig::compress(trace, options);
+}
+
+sig::Signature round_trip(const sig::Signature& signature) {
+  std::string payload;
+  archive::encode(payload, signature);
+  return archive::decode_signature(payload).or_throw();
+}
+
+skeleton::Skeleton round_trip(const skeleton::Skeleton& skeleton) {
+  std::string payload;
+  archive::encode(payload, skeleton);
+  return archive::decode_skeleton(payload).or_throw();
 }
 
 void expect_seq_equal(const sig::SigSeq& a, const sig::SigSeq& b) {
@@ -52,8 +64,7 @@ void expect_seq_equal(const sig::SigSeq& a, const sig::SigSeq& b) {
 
 TEST(SignatureIo, RoundTripPreservesStructure) {
   const sig::Signature original = sample_signature();
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(original));
+  const sig::Signature parsed = round_trip(original);
   EXPECT_EQ(parsed.app_name, original.app_name);
   EXPECT_DOUBLE_EQ(parsed.threshold, original.threshold);
   EXPECT_DOUBLE_EQ(parsed.compression_ratio, original.compression_ratio);
@@ -70,8 +81,7 @@ TEST(SignatureIo, RoundTripPreservesStructure) {
 
 TEST(SignatureIo, RoundTripPreservesExpansion) {
   const sig::Signature original = sample_signature("SP");
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(original));
+  const sig::Signature parsed = round_trip(original);
   for (std::size_t r = 0; r < original.ranks.size(); ++r) {
     EXPECT_EQ(sig::expanded_count(parsed.ranks[r].roots),
               sig::expanded_count(original.ranks[r].roots));
@@ -83,20 +93,33 @@ TEST(SignatureIo, RoundTripPreservesExpansion) {
 TEST(SignatureIo, FileRoundTrip) {
   const sig::Signature original = sample_signature();
   const std::string path = testing::TempDir() + "/psk_sig_test.sig";
-  sig::save_signature(path, original);
-  const sig::Signature loaded = sig::load_signature(path);
+  archive::save(path, original).or_throw();
+  const sig::Signature loaded = archive::load_signature(path).or_throw();
   EXPECT_EQ(loaded.total_leaves(), original.total_leaves());
 }
 
 TEST(SignatureIo, RejectsBadInput) {
-  EXPECT_THROW(sig::signature_from_string("nope\n"), FormatError);
-  EXPECT_THROW(sig::signature_from_string("psk-signature 1\napp x\n"),
-               FormatError);
-  EXPECT_THROW(
-      sig::signature_from_string("psk-signature 1\napp x\nthreshold 0\n"
-                                 "ratio 1\nranks 1\nrank 0 1 0 1\nE bogus\n"),
-      FormatError);
-  EXPECT_THROW(sig::load_signature("/nonexistent/path.sig"), ConfigError);
+  EXPECT_FALSE(archive::read_signature("nope\n").ok());
+  // A header with no rank count after it.
+  std::string payload;
+  archive::put_string(payload, "x");
+  EXPECT_FALSE(archive::decode_signature(payload).ok());
+  // One declared rank whose first node has an unknown kind.
+  archive::put_f64(payload, 0.0);  // threshold
+  archive::put_f64(payload, 1.0);  // ratio
+  archive::put_u32(payload, 1);    // ranks
+  archive::put_i32(payload, 0);    // rank id
+  archive::put_f64(payload, 1.0);  // total_time
+  archive::put_f64(payload, 0.0);  // final_compute
+  archive::put_u32(payload, 1);    // roots
+  archive::put_u8(payload, 0xEE);  // node kind
+  payload.append(64, '\0');        // room for a whole node after it
+  const auto parsed = archive::decode_signature(payload);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().message.find("node kind"), std::string::npos)
+      << parsed.error().message;
+  EXPECT_EQ(archive::load_signature("/nonexistent/path.sig").error().code,
+            archive::ErrorCode::kIo);
 }
 
 TEST(SkeletonIo, RoundTripPreservesEverything) {
@@ -106,8 +129,7 @@ TEST(SkeletonIo, RoundTripPreservesEverything) {
   const skeleton::Skeleton original =
       framework.make_consistent_skeleton(trace, 8.0);
 
-  const skeleton::Skeleton parsed =
-      skeleton::skeleton_from_string(skeleton::skeleton_to_string(original));
+  const skeleton::Skeleton parsed = round_trip(original);
   EXPECT_EQ(parsed.app_name, original.app_name);
   EXPECT_DOUBLE_EQ(parsed.scaling_factor, original.scaling_factor);
   EXPECT_DOUBLE_EQ(parsed.intended_time, original.intended_time);
@@ -126,8 +148,8 @@ TEST(SkeletonIo, LoadedSkeletonStillReplays) {
   const skeleton::Skeleton original =
       framework.make_consistent_skeleton(trace, 5.0);
   const std::string path = testing::TempDir() + "/psk_skel_test.skel";
-  skeleton::save_skeleton(path, original);
-  const skeleton::Skeleton loaded = skeleton::load_skeleton(path);
+  archive::save(path, original).or_throw();
+  const skeleton::Skeleton loaded = archive::load_skeleton(path).or_throw();
 
   EXPECT_TRUE(skeleton::check_consistency(loaded).consistent);
   const double replayed_original =
@@ -138,9 +160,10 @@ TEST(SkeletonIo, LoadedSkeletonStillReplays) {
 }
 
 TEST(SkeletonIo, RejectsBadInput) {
-  EXPECT_THROW(skeleton::skeleton_from_string("nope\n"), FormatError);
-  EXPECT_THROW(skeleton::skeleton_from_string("psk-skeleton 1\napp x\n"),
-               FormatError);
+  EXPECT_FALSE(archive::read_skeleton("nope\n").ok());
+  std::string payload;
+  archive::put_string(payload, "x");
+  EXPECT_FALSE(archive::decode_skeleton(payload).ok());
 }
 
 TEST(SignatureIo, DistributionFieldsSurviveRoundTrip) {
@@ -156,8 +179,7 @@ TEST(SignatureIo, DistributionFieldsSurviveRoundTrip) {
   rank.roots.push_back(sig::SigNode::leaf(event));
   signature.ranks.push_back(rank);
 
-  const sig::Signature parsed =
-      sig::signature_from_string(sig::signature_to_string(signature));
+  const sig::Signature parsed = round_trip(signature);
   const sig::SigEvent& out = parsed.ranks[0].roots[0].event;
   EXPECT_DOUBLE_EQ(out.pre_compute_m2, 0.0125);
   EXPECT_EQ(out.observations, 17u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,13 @@ TEST(CliIntegration, FullPipelineThroughFiles) {
             0);
   ASSERT_EQ(run_cli("info --trace=" + dir + "/t.trace"), 0);
   ASSERT_EQ(run_cli("info --signature=" + dir + "/t.sig"), 0);
+  // Every artifact psk writes is a PSKARCH1 archive.
+  for (const char* name : {"/t.trace", "/t.sig", "/t.skel"}) {
+    std::ifstream in(dir + name, std::ios::binary);
+    std::string magic(8, '\0');
+    in.read(magic.data(), 8);
+    EXPECT_EQ(magic, "PSKARCH1") << name;
+  }
 }
 
 TEST(CliIntegration, UsageAndErrors) {

@@ -632,6 +632,25 @@ TEST(SvcService, UnsalvageableUploadIsBadInput) {
   EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
 }
 
+TEST(SvcService, TextSkeletonUploadRecoversNothing) {
+  // The pre-archive text skeleton format has no reader: the strict parse
+  // fails and the salvage fallback, which handles archives only, keeps
+  // nothing.
+  svc::Request request;
+  request.header = predict_request(5);
+  request.header.archive_bytes =
+      "psk-skeleton 1\napp MG\nk 10\nintended 1\nmin_good 0\ngood 1\n"
+      "ranks 0\n";
+  svc::Service service;
+  const svc::ResponseHeader response =
+      roundtrip_one(service, std::move(request));
+  EXPECT_EQ(response.status, svc::StatusCode::kBadInput);
+  EXPECT_FALSE(response.degraded);
+  EXPECT_NE(response.message.find("salvage recovered nothing"),
+            std::string::npos)
+      << response.message;
+}
+
 TEST(SvcService, StrictWithoutFallbackRejectsTornUpload) {
   svc::ServiceOptions options;
   options.salvage_fallback = false;

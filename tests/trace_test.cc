@@ -1,15 +1,16 @@
-// Tests for trace recording, nonblocking folding, statistics and I/O.
+// Tests for trace recording, nonblocking folding, statistics and the
+// archive round-trip of traces.
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 #include <vector>
 
+#include "archive/archive.h"
+#include "archive/codec.h"
 #include "mpi/world.h"
 #include "sim/machine.h"
 #include "trace/event.h"
 #include "trace/fold.h"
-#include "trace/io.h"
 #include "trace/recorder.h"
 #include "util/error.h"
 
@@ -387,10 +388,16 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
   }
 }
 
+/// The archive round-trip every trace file goes through.
+Trace round_trip(const Trace& trace) {
+  std::string payload;
+  archive::encode(payload, trace);
+  return archive::decode_trace(payload).or_throw();
+}
+
 TEST(Io, RoundTripPreservesEverything) {
   const Trace original = sample_trace();
-  const Trace parsed = trace_from_string(trace_to_string(original));
-  expect_traces_equal(original, parsed);
+  expect_traces_equal(original, round_trip(original));
 }
 
 TEST(Io, RoundTripExactDoubles) {
@@ -400,78 +407,85 @@ TEST(Io, RoundTripExactDoubles) {
   rank.total_time = 1.0 / 3.0;
   rank.final_compute = 1e-17;
   trace.ranks.push_back(rank);
-  const Trace parsed = trace_from_string(trace_to_string(trace));
+  const Trace parsed = round_trip(trace);
   EXPECT_EQ(parsed.ranks[0].total_time, 1.0 / 3.0);
   EXPECT_EQ(parsed.ranks[0].final_compute, 1e-17);
 }
 
 TEST(Io, RejectsBadHeader) {
-  EXPECT_THROW(trace_from_string("bogus\n"), psk::FormatError);
+  const auto parsed = archive::read_trace("bogus\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, archive::ErrorCode::kBadMagic);
 }
 
 TEST(Io, RejectsTruncated) {
-  const std::string text = "psk-trace 1\napp x\nranks 1\nrank 0 1 0 2\n";
-  EXPECT_THROW(trace_from_string(text), psk::FormatError);
+  std::string payload;
+  archive::encode(payload, sample_trace());
+  const auto parsed =
+      archive::decode_trace(payload.substr(0, payload.size() - 10));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, archive::ErrorCode::kTruncated);
 }
 
 TEST(Io, RejectsMalformedEvent) {
-  const std::string text =
-      "psk-trace 1\napp x\nranks 1\nrank 0 1 0 1\nE Send oops\n";
-  EXPECT_THROW(trace_from_string(text), psk::FormatError);
+  Trace trace;
+  trace.app_name = "x";
+  RankTrace rank;
+  rank.events.push_back(make_event(CallType::kSend, 1, 8, 0.0, 1.0, 0.0));
+  trace.ranks.push_back(rank);
+  std::string payload;
+  archive::encode(payload, trace);
+  // The event's call-type byte follows the rank header, which encodes to
+  // the same size with or without events.
+  Trace headers_only = trace;
+  headers_only.ranks[0].events.clear();
+  std::string prefix;
+  archive::encode(prefix, headers_only);
+  payload[prefix.size()] = '\xff';
+  EXPECT_FALSE(archive::decode_trace(payload).ok());
 }
 
 TEST(Io, FileRoundTrip) {
   const Trace original = sample_trace();
   const std::string path = testing::TempDir() + "/psk_trace_test.trace";
-  save_trace(path, original);
-  const Trace loaded = load_trace(path);
+  archive::save(path, original).or_throw();
+  const Trace loaded = archive::load_trace(path).or_throw();
   expect_traces_equal(original, loaded);
 }
 
 TEST(Io, BinaryRoundTripPreservesEverything) {
+  // The archive is the binary form: the file bytes, not just the payload,
+  // carry every field.
   const Trace original = sample_trace();
-  const std::string path = testing::TempDir() + "/psk_trace_test.tbin";
-  save_trace_binary(path, original);
-  const Trace loaded = load_trace(path);  // auto-detects binary
-  expect_traces_equal(original, loaded);
-}
-
-TEST(Io, BinaryIsSmallerThanText) {
-  sim::Machine machine(test_cluster(4));
-  mpi::World world(machine, 4, no_overhead_mpi());
-  const Trace trace = record_run(
-      world,
-      [](mpi::Comm& comm) -> sim::Task {
-        for (int i = 0; i < 200; ++i) {
-          co_await comm.compute(0.001);
-          co_await comm.allreduce(64);
-        }
-      },
-      "size-compare");
-  const std::string dir = testing::TempDir();
-  save_trace(dir + "/t.trace", trace);
-  save_trace_binary(dir + "/t.tbin", trace);
-  std::ifstream text(dir + "/t.trace", std::ios::ate | std::ios::binary);
-  std::ifstream binary(dir + "/t.tbin", std::ios::ate | std::ios::binary);
-  EXPECT_LT(binary.tellg(), text.tellg());
+  std::string payload;
+  archive::encode(payload, original);
+  std::string file;
+  archive::write_frame(file, archive::PayloadKind::kTrace,
+                       archive::kTraceVersion, payload);
+  expect_traces_equal(original, archive::read_trace(file).or_throw());
 }
 
 TEST(Io, BinaryRejectsCorruptMagic) {
   const std::string path = testing::TempDir() + "/psk_corrupt.tbin";
   {
     std::ofstream out(path, std::ios::binary);
-    out << "PSKTRXX_garbage";
+    out << "PSKARXX_garbage";
   }
-  EXPECT_THROW(load_trace(path), psk::FormatError);
+  const auto loaded = archive::load_trace(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, archive::ErrorCode::kBadMagic);
 }
 
 TEST(Io, BinaryRejectsTruncation) {
-  const Trace original = sample_trace();
-  std::ostringstream buffer;
-  write_trace_binary(buffer, original);
-  const std::string bytes = buffer.str();
-  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(read_trace_binary(truncated), psk::FormatError);
+  const std::string path = testing::TempDir() + "/psk_truncated.tbin";
+  archive::save(path, sample_trace()).or_throw();
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  EXPECT_FALSE(archive::read_trace(bytes.substr(0, bytes.size() / 2)).ok());
 }
 
 TEST(Io, RecordedRunRoundTrips) {
@@ -484,8 +498,7 @@ TEST(Io, RecordedRunRoundTrips) {
         co_await comm.allreduce(64);
       },
       "roundtrip");
-  const Trace parsed = trace_from_string(trace_to_string(trace));
-  expect_traces_equal(trace, parsed);
+  expect_traces_equal(trace, round_trip(trace));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "apps/nas.h"
+#include "archive/archive.h"
 #include "cache/cache.h"
 #include "codegen/emit_c.h"
 #include "core/experiment.h"
@@ -29,12 +30,9 @@
 #include "obs/recorder.h"
 #include "scenario/scenario.h"
 #include "sig/compress.h"
-#include "sig/io.h"
-#include "skeleton/io.h"
 #include "skeleton/skeleton.h"
 #include "skeleton/validate.h"
 #include "svc/frame.h"
-#include "trace/io.h"
 #include "trace/stats.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -52,7 +50,7 @@ int usage() {
       "  apps                                   list bundled benchmarks\n"
       "  scenarios                              list sharing and fault "
       "scenarios\n"
-      "  trace    --app=A [--class=B] --out=F [--binary]\n"
+      "  trace    --app=A [--class=B] --out=F\n"
       "  compress --trace=F [--target-ratio=R] --out=F\n"
       "  skeleton --trace=F --target=SECONDS --out=F\n"
       "  codegen  --skeleton=F --out=F.c        emit the C skeleton program\n"
@@ -93,6 +91,24 @@ int usage() {
 
 using svc::ValidateMode;
 
+/// Maps an archive failure onto the exit codes: a file that cannot be read
+/// or written is exit 1, like any other missing input; anything else --
+/// damage, a file that is not an archive, the wrong payload kind -- is 2.
+[[noreturn]] void archive_failure(const archive::Error& error) {
+  if (error.code == archive::ErrorCode::kIo) throw ConfigError(error.message);
+  throw FormatError(error.message);
+}
+
+template <typename T>
+T loaded(archive::Result<T> result) {
+  if (!result.ok()) archive_failure(result.error());
+  return result.take();
+}
+
+void saved(const archive::Status& status) {
+  if (!status.ok()) archive_failure(status.error());
+}
+
 /// Parses --validate eagerly; an unknown mode throws ConfigError listing
 /// the valid ones (strict|salvage|off).  Commands call this before any
 /// expensive work so a typo fails fast, not after minutes of tracing.
@@ -121,7 +137,7 @@ skeleton::Skeleton load_skeleton_checked(const std::string& path,
     }
     return *std::move(value);
   }
-  skeleton::Skeleton skeleton = skeleton::load_skeleton(path);
+  skeleton::Skeleton skeleton = loaded(archive::load_skeleton(path));
   if (mode == ValidateMode::kStrict) {
     guard::require_valid(guard::validate_skeleton(skeleton));
   }
@@ -200,11 +216,7 @@ int cmd_trace(const util::Cli& cli) {
   core::SkeletonFramework framework;
   const trace::Trace trace =
       framework.record(apps::find_benchmark(app).make(cls), app);
-  if (cli.get_bool("binary", false)) {
-    trace::save_trace_binary(out, trace);
-  } else {
-    trace::save_trace(out, trace);
-  }
+  saved(archive::save(out, trace));
   std::printf("traced %s class %s: %.2f s, %zu events -> %s\n", app.c_str(),
               apps::class_name(cls), trace.elapsed(), trace.event_count(),
               out.c_str());
@@ -212,12 +224,13 @@ int cmd_trace(const util::Cli& cli) {
 }
 
 int cmd_compress(const util::Cli& cli) {
-  const trace::Trace trace = trace::load_trace(require_flag(cli, "trace"));
+  const trace::Trace trace =
+      loaded(archive::load_trace(require_flag(cli, "trace")));
   const std::string out = require_flag(cli, "out");
   sig::CompressOptions options;
   options.target_ratio = cli.get_double("target-ratio", 30.0);
   const sig::Signature signature = sig::compress(trace, options);
-  sig::save_signature(out, signature);
+  saved(archive::save(out, signature));
   std::printf("compressed %s: ratio %.1fx at threshold %.2f, %zu leaves -> "
               "%s\n",
               trace.app_name.c_str(), signature.compression_ratio,
@@ -226,7 +239,8 @@ int cmd_compress(const util::Cli& cli) {
 }
 
 int cmd_skeleton(const util::Cli& cli) {
-  const trace::Trace trace = trace::load_trace(require_flag(cli, "trace"));
+  const trace::Trace trace =
+      loaded(archive::load_trace(require_flag(cli, "trace")));
   const double target = cli.get_double("target", 1.0);
   const std::string out = require_flag(cli, "out");
 
@@ -234,7 +248,7 @@ int cmd_skeleton(const util::Cli& cli) {
   const double k = std::max(1.0, trace.elapsed() / target);
   const skeleton::Skeleton skeleton =
       framework.make_consistent_skeleton(trace, k);
-  skeleton::save_skeleton(out, skeleton);
+  saved(archive::save(out, skeleton));
   std::string warning;
   if (!skeleton.good) {
     warning = " [WARNING: below smallest good size " +
@@ -248,7 +262,7 @@ int cmd_skeleton(const util::Cli& cli) {
 
 int cmd_codegen(const util::Cli& cli) {
   const skeleton::Skeleton skeleton =
-      skeleton::load_skeleton(require_flag(cli, "skeleton"));
+      loaded(archive::load_skeleton(require_flag(cli, "skeleton")));
   const std::string out = require_flag(cli, "out");
   codegen::write_c_program(out, skeleton);
   std::printf("emitted %s (compile: mpicc -O2 %s; run with %d ranks)\n",
@@ -431,7 +445,8 @@ int cmd_report(const util::Cli& cli) {
 
 int cmd_info(const util::Cli& cli) {
   if (cli.has("trace")) {
-    const trace::Trace trace = trace::load_trace(cli.get("trace", ""));
+    const trace::Trace trace =
+        loaded(archive::load_trace(cli.get("trace", "")));
     std::printf("trace of '%s': %d ranks, %zu events, %.3f s elapsed\n",
                 trace.app_name.c_str(), trace.rank_count(),
                 trace.event_count(), trace.elapsed());
@@ -455,19 +470,21 @@ int cmd_info(const util::Cli& cli) {
   }
   if (cli.has("signature")) {
     const sig::Signature signature =
-        sig::load_signature(cli.get("signature", ""));
+        loaded(archive::load_signature(cli.get("signature", "")));
     std::printf("signature of '%s': %d ranks, %zu leaves, ratio %.1fx, "
                 "threshold %.2f\n",
                 signature.app_name.c_str(), signature.rank_count(),
                 signature.total_leaves(), signature.compression_ratio,
                 signature.threshold);
-    std::printf("rank 0: %s\n",
-                sig::to_string(signature.ranks[0].roots).c_str());
+    if (!signature.ranks.empty()) {
+      std::printf("rank 0: %s\n",
+                  sig::to_string(signature.ranks[0].roots).c_str());
+    }
     return 0;
   }
   if (cli.has("skeleton")) {
     const skeleton::Skeleton skeleton =
-        skeleton::load_skeleton(cli.get("skeleton", ""));
+        loaded(archive::load_skeleton(cli.get("skeleton", "")));
     const skeleton::ConsistencyReport report =
         skeleton::check_consistency(skeleton);
     std::printf("skeleton of '%s': K=%.1f, intended %.3f s, min good %.3f s, "
@@ -476,8 +493,10 @@ int cmd_info(const util::Cli& cli) {
                 skeleton.intended_time, skeleton.min_good_time,
                 skeleton.good ? "good" : "NOT good",
                 report.consistent ? "consistent" : "INCONSISTENT");
-    std::printf("rank 0: %s\n",
-                sig::to_string(skeleton.ranks[0].roots).c_str());
+    if (!skeleton.ranks.empty()) {
+      std::printf("rank 0: %s\n",
+                  sig::to_string(skeleton.ranks[0].roots).c_str());
+    }
     return 0;
   }
   std::fprintf(stderr, "info: pass --trace, --signature or --skeleton\n");
@@ -502,7 +521,7 @@ int main(int argc, char** argv) {
       return cmd_scenarios();
     }
     if (command == "trace") {
-      cli.require_known({"app", "class", "out", "binary"});
+      cli.require_known({"app", "class", "out"});
       return cmd_trace(cli);
     }
     if (command == "compress") {
