@@ -13,6 +13,10 @@
 //     tests/golden/skeleton_digests.txt.
 //   - fig6: the prediction-error table of `fig6_error_by_scenario --jobs=4`,
 //     one row per cell, against pskbench/fig6_reference.txt.
+//   - fig3: the prediction-error table of `fig3_error_by_benchmark --jobs=4`
+//     (every benchmark at all five skeleton sizes, so the multi-size
+//     construction and the good-skeleton estimate run), one row per cell,
+//     against tests/golden/fig3_table.txt.
 //
 // On a mismatch the actual bytes are written under the test's temp directory
 // and the failure names the file; a deliberate behaviour change replaces the
@@ -228,11 +232,13 @@ TEST(GoldenSkeletons, CanonicalDigestsArePinned) {
   expect_golden("tests/golden/skeleton_digests.txt", digests.str());
 }
 
-// ------------------------------------------------------------------ fig6
+// ------------------------------------------------------- figure tables
 
-/// "scenario app error" rows from fig6's rendered table, in table order.
-std::string fig6_rows(const std::string& output) {
-  std::vector<std::string> apps;
+/// "row column value" lines from a rendered util::Table, in table order.
+/// The first row names the columns by the first word of each header; the
+/// "Average" row and column, derived from the others, are left out.
+std::string table_rows(const std::string& output) {
+  std::vector<std::string> columns;
   std::ostringstream rows;
   std::istringstream lines(output);
   std::string line;
@@ -247,31 +253,50 @@ std::string fig6_rows(const std::string& output) {
       cells.push_back(cell.substr(first, cell.find_last_not_of(' ') - first + 1));
     }
     if (cells.empty()) continue;
-    if (cells[0] == "scenario") {
-      apps.assign(cells.begin() + 1, cells.end() - 1);  // drop "Average"
+    if (columns.empty()) {
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        columns.push_back(cells[i].substr(0, cells[i].find(' ')));
+      }
       continue;
     }
-    for (std::size_t i = 0; i < apps.size() && i + 1 < cells.size(); ++i) {
-      rows << cells[0] << ' ' << apps[i] << ' ' << cells[i + 1] << '\n';
+    if (cells[0] == "Average") continue;
+    for (std::size_t i = 0; i < columns.size() && i + 1 < cells.size(); ++i) {
+      if (columns[i] == "Average") continue;
+      rows << cells[0] << ' ' << columns[i] << ' ' << cells[i + 1] << '\n';
     }
   }
   return rows.str();
 }
 
-TEST(GoldenFig6, TableMatchesReference) {
-  int exit_code = -1;
-  const std::string output =
-      run(std::string(PSK_BUILD_DIR) + "/bench/fig6_error_by_scenario --jobs=4",
-          "", &exit_code);
-  ASSERT_EQ(exit_code, 0) << output;
+/// A checked-in table's rows: every line but blanks and '#' comments.
+std::string reference_rows(const std::string& relative) {
   std::string reference;
-  std::istringstream lines(read_bytes(source_path("pskbench/fig6_reference.txt")));
+  std::istringstream lines(read_bytes(source_path(relative)));
   std::string line;
   while (std::getline(lines, line)) {
     if (!line.empty() && line[0] != '#') reference += line + "\n";
   }
-  const std::string actual = fig6_rows(output);
-  EXPECT_EQ(actual, reference) << output;
+  return reference;
+}
+
+/// Runs a figure binary with --jobs=4 and compares its table's rows with
+/// the checked-in reference.
+void expect_figure_table(const std::string& binary,
+                         const std::string& reference) {
+  int exit_code = -1;
+  const std::string output =
+      run(std::string(PSK_BUILD_DIR) + "/bench/" + binary + " --jobs=4", "",
+          &exit_code);
+  ASSERT_EQ(exit_code, 0) << output;
+  EXPECT_EQ(table_rows(output), reference_rows(reference)) << output;
+}
+
+TEST(GoldenFig6, TableMatchesReference) {
+  expect_figure_table("fig6_error_by_scenario", "pskbench/fig6_reference.txt");
+}
+
+TEST(GoldenFig3, TableMatchesReference) {
+  expect_figure_table("fig3_error_by_benchmark", "tests/golden/fig3_table.txt");
 }
 
 }  // namespace

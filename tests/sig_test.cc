@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,142 @@ TEST(Fold, ToStringShowsStructure) {
   const SigSeq folded = fold_loops(seq_from_ids({1, 1, 1}));
   const std::string text = to_string(folded);
   EXPECT_NE(text.find("]3"), std::string::npos);
+}
+
+// ------------------------------------------------- folding, differential
+
+/// The folder as it stood before collapse_period learned to leave a
+/// sequence without a repeat untouched: every pass moves each node into a
+/// fresh vector, match or not.  The reference for FoldDifferential below.
+namespace copy_every_pass {
+
+bool block_equal(const SigSeq& seq, std::size_t i, std::size_t j,
+                 std::size_t p) {
+  for (std::size_t k = 0; k < p; ++k) {
+    if (!(seq[i + k] == seq[j + k])) return false;
+  }
+  return true;
+}
+
+std::size_t primitive_period(const SigSeq& seq, std::size_t i, std::size_t p) {
+  for (std::size_t q = 1; q <= p / 2; ++q) {
+    if (p % q != 0) continue;
+    bool periodic = true;
+    for (std::size_t offset = q; offset < p && periodic; offset += q) {
+      periodic = block_equal(seq, i, i + offset, q);
+    }
+    if (periodic) return q;
+  }
+  return p;
+}
+
+SigSeq fold_loops(SigSeq seq, std::size_t max_period);
+
+bool collapse_period(SigSeq& seq, std::size_t p, std::size_t max_period) {
+  if (seq.size() < 2 * p) return false;
+  bool changed = false;
+  SigSeq out;
+  out.reserve(seq.size());
+  std::size_t i = 0;
+  while (i < seq.size()) {
+    if (i + 2 * p <= seq.size() && block_equal(seq, i, i + p, p)) {
+      const std::size_t q = primitive_period(seq, i, p);
+      std::uint64_t repeats = 1;
+      while (i + (repeats + 1) * q <= seq.size() &&
+             block_equal(seq, i, i + static_cast<std::size_t>(repeats) * q,
+                         q)) {
+        ++repeats;
+      }
+      SigSeq body(seq.begin() + static_cast<std::ptrdiff_t>(i),
+                  seq.begin() + static_cast<std::ptrdiff_t>(i + q));
+      out.push_back(
+          SigNode::loop(repeats, fold_loops(std::move(body), max_period)));
+      i += static_cast<std::size_t>(repeats) * q;
+      changed = true;
+    } else {
+      out.push_back(std::move(seq[i]));
+      ++i;
+    }
+  }
+  seq = std::move(out);
+  return changed;
+}
+
+SigSeq fold_loops(SigSeq seq, std::size_t max_period) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t p = std::min(max_period, seq.size() / 2); p >= 1; --p) {
+      changed = collapse_period(seq, p, max_period) || changed;
+      if (seq.size() < 2) break;
+    }
+  }
+  return seq;
+}
+
+}  // namespace copy_every_pass
+
+/// Cluster ids with planted structure: runs of random symbols from a small
+/// alphabet (accidental repeats) mixed with tandem repeats of sub-sequences
+/// that are themselves generated this way (nested repeats).
+void planted_ids(std::mt19937& rng, int depth, std::vector<int>& out) {
+  std::uniform_int_distribution<int> pieces(1, 5);
+  std::uniform_int_distribution<int> symbol(0, 5);
+  std::uniform_int_distribution<int> repeats(2, 5);
+  std::uniform_int_distribution<int> kind(0, 2);
+  const int count = pieces(rng);
+  for (int piece = 0; piece < count; ++piece) {
+    if (depth == 0 || kind(rng) == 0) {
+      out.push_back(symbol(rng));
+      continue;
+    }
+    std::vector<int> body;
+    planted_ids(rng, depth - 1, body);
+    for (int r = repeats(rng); r > 0; --r) {
+      out.insert(out.end(), body.begin(), body.end());
+    }
+  }
+}
+
+/// Empty when the two nests agree node for node on kind, cluster id,
+/// iterations and structural hash; otherwise where they first differ.
+std::string first_difference(const SigSeq& a, const SigSeq& b,
+                             const std::string& path = "") {
+  if (a.size() != b.size()) {
+    return path + ": " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size()) + " nodes";
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string at = path + "/" + std::to_string(i);
+    if (a[i].kind != b[i].kind || a[i].hash != b[i].hash ||
+        a[i].iterations != b[i].iterations ||
+        a[i].event.cluster_id != b[i].event.cluster_id) {
+      return at + ": nodes differ";
+    }
+    const std::string inner = first_difference(a[i].body, b[i].body, at);
+    if (!inner.empty()) return inner;
+  }
+  return "";
+}
+
+TEST(FoldDifferential, MatchesCopyEveryPassFolderOnPlantedRepeats) {
+  for (std::uint32_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<int> ids;
+    planted_ids(rng, static_cast<int>(seed % 4), ids);
+    for (const std::size_t max_period : {std::size_t{3}, std::size_t{512}}) {
+      const SigSeq expect =
+          copy_every_pass::fold_loops(seq_from_ids(ids), max_period);
+      const SigSeq got =
+          fold_loops(seq_from_ids(ids), FoldOptions{max_period});
+      const std::string difference = first_difference(got, expect);
+      ASSERT_TRUE(difference.empty())
+          << "seed " << seed << ", max_period " << max_period << ", "
+          << ids.size() << " ids: " << difference << "\n  got    "
+          << to_string(got) << "\n  expect " << to_string(expect);
+      ASSERT_EQ(expanded_count(got), ids.size());
+    }
+  }
 }
 
 // ------------------------------------------------------------- compression
