@@ -15,7 +15,8 @@ namespace {
 /// this column and fall back to the exact node comparison only when every
 /// hash in the block matches.  Hashes never change during a pass, so the
 /// column stays valid while nodes are moved out of `seq` (only already
-/// consumed positions are moved from).
+/// consumed positions are moved from), and across passes that leave `seq`
+/// untouched.
 using FpColumn = std::vector<std::uint64_t>;
 
 FpColumn fingerprints_of(const SigSeq& seq) {
@@ -56,14 +57,23 @@ std::size_t primitive_period(const SigSeq& seq, const FpColumn& fp,
 
 /// One left-to-right pass collapsing tandem repeats of period `p`.  Matches
 /// are reduced to their primitive period before collapsing, and bodies are
-/// folded recursively, so a period-p hit yields the canonical nest.
-bool collapse_period(SigSeq& seq, std::size_t p, std::size_t max_period) {
+/// folded recursively, so a period-p hit yields the canonical nest.  Most
+/// periods have no repeat at all: the pass scans for the first one and
+/// leaves `seq` untouched when there is none, and otherwise moves only the
+/// prefix before it unchanged.  `fp` is seq's fingerprint column on entry
+/// and is rebuilt when the pass changes `seq`.
+bool collapse_period(SigSeq& seq, FpColumn& fp, std::size_t p,
+                     std::size_t max_period) {
   if (seq.size() < 2 * p) return false;
-  const FpColumn fp = fingerprints_of(seq);
+  std::size_t i = 0;
+  while (i + 2 * p <= seq.size() && !block_equal(seq, fp, i, i + p, p)) ++i;
+  if (i + 2 * p > seq.size()) return false;
   bool changed = false;
   SigSeq out;
   out.reserve(seq.size());
-  std::size_t i = 0;
+  out.insert(out.end(), std::make_move_iterator(seq.begin()),
+             std::make_move_iterator(seq.begin() +
+                                     static_cast<std::ptrdiff_t>(i)));
   while (i < seq.size()) {
     if (i + 2 * p <= seq.size() && block_equal(seq, fp, i, i + p, p)) {
       const std::size_t q = primitive_period(seq, fp, i, p);
@@ -85,6 +95,7 @@ bool collapse_period(SigSeq& seq, std::size_t p, std::size_t max_period) {
     }
   }
   seq = std::move(out);
+  fp = fingerprints_of(seq);
   return changed;
 }
 
@@ -188,12 +199,13 @@ SigSeq fold_loops(SigSeq seq, const FoldOptions& options) {
   // repeated until no repeat of any length remains.  Largest-first matters:
   // a small-period collapse (e.g. two adjacent Allreduces) can otherwise
   // destroy the tail of a much longer repetition that contains it.
+  FpColumn fp = fingerprints_of(seq);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t p = std::min(options.max_period, seq.size() / 2); p >= 1;
          --p) {
-      changed = collapse_period(seq, p, options.max_period) || changed;
+      changed = collapse_period(seq, fp, p, options.max_period) || changed;
       if (seq.size() < 2) break;
     }
   }
