@@ -1,6 +1,10 @@
 #include "core/experiment.h"
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -269,215 +273,173 @@ std::vector<GridCell> ExperimentDriver::grid_cells() const {
 }
 
 void ExperimentDriver::warm(const std::vector<GridCell>& cells) {
-  const int jobs = runner::resolve_jobs(config_.jobs);
-  if (jobs <= 1) {
-    for (const GridCell& cell : cells) {
-      app_trace(cell.app);
-      good_estimate(cell.app);
-      skeleton_for_size(cell.app, cell.size_seconds);
-    }
+  if (runner::resolve_jobs(config_.jobs) > 1) {
+    sweep_plan(cells, /*measure=*/false);
     return;
   }
-
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
-  sweep_options.profiler = &phases_;
-
-  // Phase A: one dedicated-testbed tracing simulation per distinct
-  // still-untraced benchmark.  Traces are independent seeded simulations,
-  // so they fan out; installs stay serial because the construction caches
-  // hand out long-lived references.
-  std::vector<std::string> to_trace;
-  {
-    std::set<std::string> seen;
-    for (const GridCell& cell : cells) {
-      if (traces_.count(cell.app) == 0 && seen.insert(cell.app).second) {
-        util::log_info() << "tracing " << cell.app << " (class "
-                         << apps::class_name(config_.app_class) << ")";
-        to_trace.push_back(cell.app);
-      }
-    }
-  }
-  std::vector<trace::Trace> traced = runner::sweep_map(
-      to_trace,
-      [&](const std::string& app) {
-        return framework_.record(program(app, config_.app_class), app);
-      },
-      sweep_options);
-  for (std::size_t i = 0; i < to_trace.size(); ++i) {
-    traces_.emplace(to_trace[i], std::move(traced[i]));
-  }
-
-  // Phase B: compression work -- one consistent skeleton per distinct
-  // (benchmark, size) plus the reference signature behind each benchmark's
-  // good-skeleton estimate.  Every unit is a pure function of a now-cached
-  // trace, so the parallel bodies touch no driver state at all.
-  struct SkeletonUnit {
-    std::string app;
-    const trace::Trace* trace;
-    double k;
-    long long key;
-  };
-  struct EstimateUnit {
-    std::string app;
-    const trace::Trace* trace;
-    double k;
-  };
-  std::vector<SkeletonUnit> skeleton_units;
-  std::vector<EstimateUnit> estimate_units;
-  {
-    double min_size = 0.5;
-    for (double size : config_.skeleton_sizes) {
-      min_size = std::min(min_size, size);
-    }
-    std::set<std::pair<std::string, long long>> seen_skeletons;
-    std::set<std::string> seen_estimates;
-    for (const GridCell& cell : cells) {
-      const trace::Trace& trace = app_trace(cell.app);
-      const auto skeleton_key =
-          std::make_pair(cell.app, size_key(cell.size_seconds));
-      if (skeletons_.count(skeleton_key) == 0 &&
-          seen_skeletons.insert(skeleton_key).second) {
-        const double k =
-            std::max(1.0, trace.elapsed() / cell.size_seconds);
-        skeleton_units.push_back(
-            SkeletonUnit{cell.app, &trace, k, skeleton_key.second});
-      }
-      if (good_estimates_.count(cell.app) == 0 &&
-          seen_estimates.insert(cell.app).second) {
-        const double k = std::max(1.0, trace.elapsed() / min_size);
-        estimate_units.push_back(EstimateUnit{cell.app, &trace, k});
-      }
-    }
-  }
-  std::vector<skeleton::Skeleton> built(skeleton_units.size());
-  std::vector<sig::Signature> reference_signatures(estimate_units.size());
-  runner::sweep(
-      skeleton_units.size() + estimate_units.size(),
-      [&](std::size_t i) {
-        if (i < skeleton_units.size()) {
-          const SkeletonUnit& unit = skeleton_units[i];
-          built[i] = framework_.make_consistent_skeleton(*unit.trace, unit.k);
-        } else {
-          const EstimateUnit& unit = estimate_units[i - skeleton_units.size()];
-          reference_signatures[i - skeleton_units.size()] =
-              framework_.make_signature(*unit.trace, unit.k);
-        }
-      },
-      sweep_options);
-  for (std::size_t i = 0; i < skeleton_units.size(); ++i) {
-    skeletons_.emplace(
-        std::make_pair(skeleton_units[i].app, skeleton_units[i].key),
-        std::move(built[i]));
-  }
-  for (std::size_t i = 0; i < estimate_units.size(); ++i) {
-    const EstimateUnit& unit = estimate_units[i];
-    const auto signature_it =
-        signatures_
-            .emplace(std::make_pair(unit.app, size_key(unit.k)),
-                     std::move(reference_signatures[i]))
-            .first;
-    good_estimates_.emplace(
-        unit.app, skeleton::estimate_good_skeleton(signature_it->second));
+  for (const GridCell& cell : cells) {
+    app_trace(cell.app);
+    good_estimate(cell.app);
+    skeleton_for_size(cell.app, cell.size_seconds);
   }
 }
 
-void ExperimentDriver::fan_out_measurements(
-    const std::vector<GridCell>& cells, int jobs) {
-  // Enumerate the unique, still-uncached simulation runs the cells will ask
-  // for.  App runs are keyed (app, scenario, repetition): one per benchmark
-  // and scenario, shared by every skeleton size.  Skeleton runs are keyed
-  // (app, size, scenario, repetition), plus the dedicated calibration run
-  // shared by all scenarios of a cell.
-  struct AppRun {
-    const std::string* app;
-    const scenario::Scenario* scenario;
-    int repetition;
+void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
+                                  bool measure) {
+  // One unit per still-uncached product the cells need, listed in
+  // dependency order -- traces, then constructions, then measurement runs
+  // -- so the sweep's lowest-index-first scheduler hands idle workers
+  // construction before runs.  App runs need nothing and start at once.
+  // Each unit writes its own slot (deques keep slot addresses stable); the
+  // installs fill the driver's caches serially after the sweep, in unit
+  // order, because those caches hand out long-lived references.
+  std::vector<std::function<void()>> units;
+  std::vector<std::vector<std::size_t>> successors;
+  std::vector<std::function<void()>> installs;
+  using Input = std::optional<std::size_t>;  // the unit producing an input
+  const auto add = [&](Input input, std::function<void()> body) {
+    if (input) successors[*input].push_back(units.size());
+    units.push_back(std::move(body));
+    successors.emplace_back();
+    return units.size() - 1;
   };
-  struct SkeletonRun {
-    const skeleton::Skeleton* skeleton;
-    double size_seconds;
-    const scenario::Scenario* scenario;
-    int repetition;
-    std::tuple<std::string, long long, std::string, int> key;
-  };
-  const int repetitions = std::max(1, config_.repetitions);
-  std::vector<AppRun> app_runs;
-  std::vector<SkeletonRun> skeleton_runs;
-  std::set<std::tuple<std::string, std::string, int>> app_keys;
-  std::set<std::tuple<std::string, long long, std::string, int>>
-      skeleton_keys;
-  const auto need_app = [&](const GridCell& cell,
-                            const scenario::Scenario& scenario,
-                            int repetition) {
-    auto key =
-        std::make_tuple(cell.app, std::string(scenario.name), repetition);
-    if (app_times_.count(key) != 0 || !app_keys.insert(key).second) return;
-    app_runs.push_back(AppRun{&cell.app, &scenario, repetition});
-  };
-  const auto need_skeleton = [&](const GridCell& cell,
-                                 const scenario::Scenario& scenario,
-                                 int repetition) {
+
+  std::deque<trace::Trace> traced;
+  std::map<std::string, std::pair<const trace::Trace*, Input>> trace_of;
+  for (const GridCell& cell : cells) {
+    const std::string& app = cell.app;
+    if (trace_of.count(app) != 0) continue;
+    if (const auto it = traces_.find(app); it != traces_.end()) {
+      trace_of[app] = {&it->second, std::nullopt};
+      continue;
+    }
+    util::log_info() << "tracing " << app << " (class "
+                     << apps::class_name(config_.app_class) << ")";
+    trace::Trace& slot = traced.emplace_back();
+    trace_of[app] = {&slot, add(std::nullopt, [this, &slot, &app] {
+                       slot = framework_.record(
+                           program(app, config_.app_class), app);
+                     })};
+    installs.push_back([this, &slot, &app] {
+      traces_.emplace(app, std::move(slot));
+    });
+  }
+
+  // Constructions: one consistent skeleton per (benchmark, size) and the
+  // reference signature behind each benchmark's good-skeleton estimate.
+  // K depends on the traced time, so the units derive it themselves.
+  double min_size = 0.5;
+  for (double size : config_.skeleton_sizes) min_size = std::min(min_size, size);
+  std::deque<skeleton::Skeleton> built;
+  std::deque<sig::Signature> references;
+  std::set<std::string> estimated;
+  std::map<std::pair<std::string, long long>,
+           std::pair<const skeleton::Skeleton*, Input>>
+      skeleton_of;
+  for (const GridCell& cell : cells) {
+    const std::string& app = cell.app;
+    const auto [trace, trace_unit] = trace_of.at(app);
+    const auto key = std::make_pair(app, size_key(cell.size_seconds));
+    if (skeleton_of.count(key) == 0) {
+      if (const auto it = skeletons_.find(key); it != skeletons_.end()) {
+        skeleton_of[key] = {&it->second, std::nullopt};
+      } else {
+        skeleton::Skeleton& slot = built.emplace_back();
+        const double size = cell.size_seconds;
+        skeleton_of[key] = {&slot, add(trace_unit, [this, &slot, trace, size] {
+                              slot = framework_.make_consistent_skeleton(
+                                  *trace, std::max(1.0, trace->elapsed() / size));
+                            })};
+        installs.push_back(
+            [this, &slot, key] { skeletons_.emplace(key, std::move(slot)); });
+      }
+    }
+    if (good_estimates_.count(app) == 0 && estimated.insert(app).second) {
+      sig::Signature& slot = references.emplace_back();
+      add(trace_unit, [this, &slot, trace, min_size] {
+        slot = framework_.make_signature(
+            *trace, std::max(1.0, trace->elapsed() / min_size));
+      });
+      installs.push_back([this, &slot, &app, min_size] {
+        const double k = std::max(1.0, traces_.at(app).elapsed() / min_size);
+        const auto it =
+            signatures_.emplace(std::make_pair(app, size_key(k)), std::move(slot))
+                .first;
+        good_estimates_.emplace(app,
+                                skeleton::estimate_good_skeleton(it->second));
+      });
+    }
+  }
+
+  // Measurement runs, each once: skeleton runs keyed (app, size, scenario,
+  // repetition) plus the dedicated calibration run every cell shares, and
+  // app runs keyed (app, scenario, repetition), shared by every size.
+  std::deque<double> elapsed;
+  std::set<std::tuple<std::string, long long, std::string, int>> skeleton_runs;
+  std::set<std::tuple<std::string, std::string, int>> app_runs;
+  const auto run_skeleton = [&](const GridCell& cell,
+                                const scenario::Scenario& scenario,
+                                int repetition) {
     auto key = std::make_tuple(cell.app, size_key(cell.size_seconds),
                                std::string(scenario.name), repetition);
-    if (skeleton_times_.count(key) != 0 ||
-        !skeleton_keys.insert(key).second) {
+    if (skeleton_times_.count(key) != 0 || !skeleton_runs.insert(key).second) {
       return;
     }
-    skeleton_runs.push_back(
-        SkeletonRun{&skeleton_for_size(cell.app, cell.size_seconds),
-                    cell.size_seconds, &scenario, repetition, std::move(key)});
+    const auto [skel, skeleton_unit] =
+        skeleton_of.at({cell.app, size_key(cell.size_seconds)});
+    double& slot = elapsed.emplace_back();
+    const double size = cell.size_seconds;
+    add(skeleton_unit, [this, &slot, skel, size, &scenario, repetition] {
+      slot = compute_skeleton_time(*skel, size, scenario, repetition);
+    });
+    installs.push_back([this, &slot, key = std::move(key)] {
+      skeleton_times_.try_emplace(key, slot);
+    });
   };
-  for (const GridCell& cell : cells) {
-    need_skeleton(cell, scenario::dedicated(), 0);
-    for (int repetition = 0; repetition < repetitions; ++repetition) {
-      need_skeleton(cell, *cell.scenario, repetition);
-      need_app(cell, *cell.scenario, repetition);
+  const auto run_app = [&](const GridCell& cell,
+                           const scenario::Scenario& scenario,
+                           int repetition) {
+    auto key =
+        std::make_tuple(cell.app, std::string(scenario.name), repetition);
+    if (app_times_.count(key) != 0 || !app_runs.insert(key).second) return;
+    double& slot = elapsed.emplace_back();
+    const std::string& app = cell.app;
+    add(std::nullopt, [this, &slot, &app, &scenario, repetition] {
+      slot = compute_app_time(app, scenario, repetition);
+    });
+    installs.push_back([this, &slot, key = std::move(key)] {
+      app_times_.try_emplace(key, slot);
+    });
+  };
+  if (measure) {
+    const int repetitions = std::max(1, config_.repetitions);
+    for (const GridCell& cell : cells) {
+      run_skeleton(cell, scenario::dedicated(), 0);
+      for (int repetition = 0; repetition < repetitions; ++repetition) {
+        run_skeleton(cell, *cell.scenario, repetition);
+      }
+    }
+    for (const GridCell& cell : cells) {
+      for (int repetition = 0; repetition < repetitions; ++repetition) {
+        run_app(cell, *cell.scenario, repetition);
+      }
     }
   }
 
-  // Fan out.  Each run writes its own slot; no shared mutable state is
-  // touched until the serial install loop below, so scheduling cannot
-  // perturb the results.
-  std::vector<double> app_elapsed(app_runs.size());
-  std::vector<double> skeleton_elapsed(skeleton_runs.size());
   runner::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
+  sweep_options.jobs = config_.jobs;
   sweep_options.profiler = &phases_;
   runner::sweep(
-      app_runs.size() + skeleton_runs.size(),
-      [&](std::size_t i) {
-        if (i < app_runs.size()) {
-          const AppRun& run = app_runs[i];
-          app_elapsed[i] =
-              compute_app_time(*run.app, *run.scenario, run.repetition);
-        } else {
-          const SkeletonRun& run = skeleton_runs[i - app_runs.size()];
-          skeleton_elapsed[i - app_runs.size()] = compute_skeleton_time(
-              *run.skeleton, run.size_seconds, *run.scenario, run.repetition);
-        }
-      },
+      units.size(), successors, [&](std::size_t i) { units[i](); },
       sweep_options);
-
   std::lock_guard<std::mutex> lock(time_mutex_);
-  for (std::size_t i = 0; i < app_runs.size(); ++i) {
-    const AppRun& run = app_runs[i];
-    app_times_.try_emplace(
-        std::make_tuple(*run.app, std::string(run.scenario->name),
-                        run.repetition),
-        app_elapsed[i]);
-  }
-  for (std::size_t i = 0; i < skeleton_runs.size(); ++i) {
-    skeleton_times_.try_emplace(skeleton_runs[i].key, skeleton_elapsed[i]);
-  }
+  for (const auto& install : installs) install();
 }
 
 std::vector<PredictionRecord> ExperimentDriver::predict_cells(
     const std::vector<GridCell>& cells) {
-  const int jobs = runner::resolve_jobs(config_.jobs);
-  if (jobs > 1 && cells.size() > 1) {
-    warm(cells);
-    fan_out_measurements(cells, jobs);
+  if (runner::resolve_jobs(config_.jobs) > 1 && cells.size() > 1) {
+    sweep_plan(cells, /*measure=*/true);
   }
   // With the caches populated this loop is pure arithmetic; with jobs=1 it
   // is exactly the historical serial path, computing lazily as it goes.

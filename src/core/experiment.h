@@ -37,9 +37,9 @@ struct ExperimentConfig {
   /// systematic effects (latency scaling, unbalanced synchronization) from
   /// one-shot sampling noise of the fluttering environment.
   int repetitions = 3;
-  /// Measurement-phase parallelism for run_grid()/predict_cells(): 0 = one
-  /// job per hardware thread, 1 = strictly serial evaluation on the calling
-  /// thread (the pre-runner code path).  Results are bit-identical across
+  /// Parallelism of warm()/run_grid()/predict_cells(): 0 = one job per
+  /// hardware thread, 1 = strictly serial evaluation on the calling thread
+  /// (the pre-runner code path).  Results are bit-identical across
   /// all settings; only wall-clock time changes.
   int jobs = 0;
   FrameworkOptions framework;
@@ -103,16 +103,18 @@ class ExperimentDriver {
   /// x paper scenario, in configuration order.
   std::vector<GridCell> grid_cells() const;
 
-  /// Serial warm phase: populates the trace / signature / skeleton /
-  /// good-estimate caches every cell needs (each benchmark is traced once).
+  /// Populates the trace / signature / skeleton / good-estimate caches
+  /// every cell needs (each benchmark is traced once): with jobs > 1 as one
+  /// dependency-ordered sweep, with jobs = 1 lazily on the calling thread.
   /// After warming, predict() and the time getters are safe to call for
   /// these cells from pool workers.
   void warm(const std::vector<GridCell>& cells);
 
   /// Evaluates the cells with `config().jobs` workers and returns records
-  /// in input order.  Construction (warm phase) stays serial; the
-  /// measurement runs -- isolated deterministic simulations -- fan out
-  /// across the runner pool.  Bit-identical to the serial path.
+  /// in input order.  With jobs > 1, construction and the measurement runs
+  /// -- isolated deterministic simulations -- form one sweep in which each
+  /// unit starts as soon as its inputs exist.  Bit-identical to the serial
+  /// path.
   std::vector<PredictionRecord> predict_cells(
       const std::vector<GridCell>& cells);
 
@@ -178,9 +180,10 @@ class ExperimentDriver {
                                const scenario::Scenario& scenario,
                                int repetition) const;
 
-  /// Runs every uncached measurement the cells need across `jobs` workers
-  /// and installs the results in the time caches.  Requires warm(cells).
-  void fan_out_measurements(const std::vector<GridCell>& cells, int jobs);
+  /// Runs every uncached trace, construction and (with `measure`)
+  /// measurement run the cells need as one runner::sweep whose units start
+  /// once their inputs exist, then installs the results in the caches.
+  void sweep_plan(const std::vector<GridCell>& cells, bool measure);
 
   ExperimentConfig config_;
   /// Declared before framework_: the constructor injects &phases_ into
@@ -190,8 +193,8 @@ class ExperimentDriver {
   SkeletonFramework framework_;
 
   // Construction caches (traces_, signatures_, skeletons_, good_estimates_)
-  // hand out long-lived references and are populated only by the serial
-  // warm phase -- never from pool workers.  The scalar time caches are
+  // hand out long-lived references and are populated only on the calling
+  // thread (lazily, or by sweep_plan's installs) -- never from pool workers.  The scalar time caches are
   // guarded by time_mutex_ so ad-hoc app_time()/skeleton_time() calls are
   // safe from pool workers too; racing lookups may compute a value twice,
   // but the simulations are deterministic so both results are identical.

@@ -1,12 +1,15 @@
-// Sweep executor: evaluate a vector of independent grid cells concurrently
-// and return results in deterministic input order.
+// Sweep executor: evaluate a plan of units concurrently and return results
+// in deterministic input order.
 //
 // The experiment grid (benchmark x skeleton size x sharing scenario x
-// repetition) decomposes into fully isolated deterministic simulations, so
-// a sweep parallelizes trivially: every cell writes into its own
-// preallocated slot and the output order is the input order regardless of
-// how the pool schedules the work.  `--jobs=1` degenerates to a plain
-// serial loop on the calling thread.
+// repetition) decomposes into isolated deterministic simulations, so a
+// sweep parallelizes trivially: every unit writes into its own preallocated
+// slot and the output order is the input order regardless of how the
+// workers schedule the work.  A unit may name successors -- units that read
+// its slot -- and each unit starts only once all of its inputs finished,
+// so construction (trace -> skeleton) and measurement (skeleton -> runs)
+// form one plan with no barrier between them.  `--jobs=1` degenerates to a
+// plain serial loop on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +31,18 @@ struct SweepOptions {
 };
 
 /// Runs body(i) for every i in [0, count), concurrently when options allow.
-/// Rethrows the lowest-index exception, like a serial loop would.
+/// successors[i] lists the units that need unit i (empty `successors` = no
+/// dependencies); each must have a larger index, so index order is a valid
+/// serial order.  A unit starts only after all of its inputs finished, and
+/// ready units start lowest index first.  The dependents of a unit that
+/// throws are skipped; the lowest-index exception is rethrown, like a serial
+/// loop would report it.
+void sweep(std::size_t count,
+           const std::vector<std::vector<std::size_t>>& successors,
+           const std::function<void(std::size_t)>& body,
+           const SweepOptions& options = {});
+
+/// A sweep of independent units.
 void sweep(std::size_t count, const std::function<void(std::size_t)>& body,
            const SweepOptions& options = {});
 
