@@ -96,13 +96,17 @@ Result<Frame> read_frame(std::string_view bytes) {
   }
   // Declared size vs bytes actually present, checked before the payload is
   // copied: a hostile size field costs nothing.  Overflow-safe comparison
-  // (payload_size + kChecksumSize could wrap).
+  // (payload_size + kChecksumSize could wrap).  The count reported leaves
+  // out the checksum's share, so a torn checksum reads as missing bytes.
   if (in.remaining() < kChecksumSize ||
       payload_size > in.remaining() - kChecksumSize) {
+    const std::size_t present =
+        in.remaining() < kChecksumSize ? 0 : in.remaining() - kChecksumSize;
     return Error{ErrorCode::kTruncated,
                  "payload declares " + std::to_string(payload_size) +
-                     " byte(s) but only " + std::to_string(in.remaining()) +
-                     " remain"};
+                     " byte(s) but only " + std::to_string(present) +
+                     " remain ahead of the " + std::to_string(kChecksumSize) +
+                     "-byte checksum"};
   }
   if (payload_size < in.remaining() - kChecksumSize) {
     return Error{ErrorCode::kCorrupt,

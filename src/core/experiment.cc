@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "mpi/world.h"
@@ -22,9 +20,39 @@ namespace {
 long long size_key(double value) {
   return static_cast<long long>(std::llround(value * 1e6));
 }
-}  // namespace
 
-namespace {
+/// Scaling factor K that shrinks `trace` to a skeleton of `size_seconds`.
+double k_for(const trace::Trace& trace, double size_seconds) {
+  return std::max(1.0, trace.elapsed() / size_seconds);
+}
+
+/// Seed offsets of the measurement runs: a distinct stream per repetition
+/// and, for skeletons, per size.
+std::uint64_t app_seed(int repetition) {
+  return static_cast<std::uint64_t>(repetition) * 13;
+}
+std::uint64_t skeleton_seed(double size_seconds, int repetition) {
+  return 1 +
+         static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97) +
+         static_cast<std::uint64_t>(repetition) * 31;
+}
+
+/// Looks `key` up in `times` under `mutex`; on a miss computes the value
+/// unlocked and installs it.  Racing misses compute the same value twice:
+/// the simulations are deterministic.
+template <typename Times, typename Key, typename Compute>
+double cached_time(std::mutex& mutex, Times& times, const Key& key,
+                   const Compute& compute) {
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = times.find(key);
+    if (it != times.end()) return it->second;
+  }
+  const double elapsed = compute();
+  std::lock_guard<std::mutex> lock(mutex);
+  return times.try_emplace(key, elapsed).first->second;
+}
+
 /// Injects the driver's profiler unless the caller supplied one; returns
 /// the options for the framework member initializer.
 core::FrameworkOptions& ensure_profiler(core::FrameworkOptions& options,
@@ -57,21 +85,19 @@ const trace::Trace& ExperimentDriver::app_trace(const std::string& app) {
 }
 
 double ExperimentDriver::compute_app_time(const std::string& app,
+                                          apps::NasClass cls,
                                           const scenario::Scenario& scenario,
-                                          int repetition) const {
+                                          std::uint64_t seed_offset) const {
   obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
-  const std::uint64_t seed_offset =
-      static_cast<std::uint64_t>(repetition) * 13;
   const auto execute = [&] {
-    return framework_.run_app(program(app, config_.app_class), scenario,
-                              seed_offset);
+    return framework_.run_app(program(app, cls), scenario, seed_offset);
   };
   cache::ResultCache* cache = framework_.options().result_cache.get();
   if (cache == nullptr) return execute();
   // The (benchmark, NAS class) pair identifies the workload: app programs
   // are deterministic generators of their inputs.
   const cache::CacheKey key =
-      cache::app_run_key(app, apps::class_name(config_.app_class), scenario,
+      cache::app_run_key(app, apps::class_name(cls), scenario,
                          framework_.run_context(seed_offset));
   return cache::memoize_scalar(cache, key, execute);
 }
@@ -79,42 +105,22 @@ double ExperimentDriver::compute_app_time(const std::string& app,
 double ExperimentDriver::app_time(const std::string& app,
                                   const scenario::Scenario& scenario,
                                   int repetition) {
-  const auto key =
-      std::make_tuple(app, std::string(scenario.name), repetition);
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = app_times_.find(key);
-    if (it != app_times_.end()) return it->second;
-  }
-  const double elapsed = compute_app_time(app, scenario, repetition);
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return app_times_.try_emplace(key, elapsed).first->second;
+  return cached_time(
+      time_mutex_, app_times_,
+      std::make_tuple(app, std::string(scenario.name), repetition), [&] {
+        return compute_app_time(app, config_.app_class, scenario,
+                                app_seed(repetition));
+      });
 }
 
 double ExperimentDriver::class_s_time(const std::string& app,
                                       const scenario::Scenario& scenario) {
-  const auto key = std::make_pair(app, std::string(scenario.name));
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = class_s_times_.find(key);
-    if (it != class_s_times_.end()) return it->second;
-  }
-  const auto execute = [&] {
-    return framework_.run_app(program(app, apps::NasClass::kS), scenario,
-                              /*seed_offset=*/7);
-  };
-  cache::ResultCache* cache = framework_.options().result_cache.get();
-  double elapsed;
-  if (cache == nullptr) {
-    elapsed = execute();
-  } else {
-    const cache::CacheKey cache_key = cache::app_run_key(
-        app, apps::class_name(apps::NasClass::kS), scenario,
-        framework_.run_context(/*seed_offset=*/7));
-    elapsed = cache::memoize_scalar(cache, cache_key, execute);
-  }
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return class_s_times_.try_emplace(key, elapsed).first->second;
+  return cached_time(
+      time_mutex_, class_s_times_,
+      std::make_pair(app, std::string(scenario.name)), [&] {
+        return compute_app_time(app, apps::NasClass::kS, scenario,
+                                /*seed_offset=*/7);
+      });
 }
 
 const sig::Signature& ExperimentDriver::signature(const std::string& app,
@@ -134,11 +140,10 @@ const skeleton::Skeleton& ExperimentDriver::skeleton_for_size(
   const auto key = std::make_pair(app, size_key(size_seconds));
   auto it = skeletons_.find(key);
   if (it == skeletons_.end()) {
-    const double elapsed = app_trace(app).elapsed();
-    const double k = std::max(1.0, elapsed / size_seconds);
+    const trace::Trace& trace = app_trace(app);
     it = skeletons_
-             .emplace(key,
-                      framework_.make_consistent_skeleton(app_trace(app), k))
+             .emplace(key, framework_.make_consistent_skeleton(
+                               trace, k_for(trace, size_seconds)))
              .first;
   }
   return it->second;
@@ -148,11 +153,8 @@ double ExperimentDriver::compute_skeleton_time(
     const skeleton::Skeleton& skeleton, double size_seconds,
     const scenario::Scenario& scenario, int repetition) const {
   obs::PhaseProfiler::Scope scope(framework_.options().profiler, "measure");
-  const std::uint64_t seed_offset =
-      1 +
-      static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97) +
-      static_cast<std::uint64_t>(repetition) * 31;
-  return framework_.run_skeleton(skeleton, scenario, seed_offset);
+  return framework_.run_skeleton(skeleton, scenario,
+                                 skeleton_seed(size_seconds, repetition));
 }
 
 double ExperimentDriver::observe_app(const std::string& app,
@@ -171,43 +173,42 @@ double ExperimentDriver::observe_skeleton(const std::string& app,
   const skeleton::Skeleton& skel = skeleton_for_size(app, size_seconds);
   recorder.metrics().set_info("app", app + "-skeleton");
   recorder.metrics().set_info("class", apps::class_name(config_.app_class));
-  // Same seed derivation as compute_skeleton_time's first repetition, so
-  // the instrumented timeline matches the first measured cell exactly.
-  const std::uint64_t seed_offset =
-      1 + static_cast<std::uint64_t>(std::llabs(size_key(size_seconds)) % 97);
-  return framework_.run_skeleton(skel, scenario, seed_offset, {}, &recorder);
+  // The first repetition's seed, so the instrumented timeline matches the
+  // first measured cell exactly.
+  return framework_.run_skeleton(skel, scenario, skeleton_seed(size_seconds, 0),
+                                 {}, &recorder);
 }
 
 double ExperimentDriver::skeleton_time(const std::string& app,
                                        double size_seconds,
                                        const scenario::Scenario& scenario,
                                        int repetition) {
-  const auto key = std::make_tuple(app, size_key(size_seconds),
-                                   std::string(scenario.name), repetition);
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    auto it = skeleton_times_.find(key);
-    if (it != skeleton_times_.end()) return it->second;
+  return cached_time(time_mutex_, skeleton_times_,
+                     std::make_tuple(app, size_key(size_seconds),
+                                     std::string(scenario.name), repetition),
+                     [&] {
+                       return compute_skeleton_time(
+                           skeleton_for_size(app, size_seconds), size_seconds,
+                           scenario, repetition);
+                     });
+}
+
+double ExperimentDriver::reference_size() const {
+  // At least as deep as the smallest configured skeleton (and never
+  // shallower than a 0.5 s one), so the dominant loop structure is visible
+  // regardless of which sizes the caller requested.
+  double size = 0.5;
+  for (double configured : config_.skeleton_sizes) {
+    size = std::min(size, configured);
   }
-  const double elapsed = compute_skeleton_time(
-      skeleton_for_size(app, size_seconds), size_seconds, scenario,
-      repetition);
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  return skeleton_times_.try_emplace(key, elapsed).first->second;
+  return size;
 }
 
 const skeleton::GoodSkeletonEstimate& ExperimentDriver::good_estimate(
     const std::string& app) {
   auto it = good_estimates_.find(app);
   if (it == good_estimates_.end()) {
-    // Reference compression: at least as deep as the smallest configured
-    // skeleton (and never shallower than a 0.5 s one), so the dominant loop
-    // structure is visible regardless of which sizes the caller requested.
-    double min_size = 0.5;
-    for (double size : config_.skeleton_sizes) {
-      min_size = std::min(min_size, size);
-    }
-    const double k = std::max(1.0, app_trace(app).elapsed() / min_size);
+    const double k = k_for(app_trace(app), reference_size());
     it = good_estimates_
              .emplace(app, skeleton::estimate_good_skeleton(signature(app, k)))
              .first;
@@ -273,38 +274,29 @@ std::vector<GridCell> ExperimentDriver::grid_cells() const {
 }
 
 void ExperimentDriver::warm(const std::vector<GridCell>& cells) {
-  if (runner::resolve_jobs(config_.jobs) > 1) {
-    sweep_plan(cells, /*measure=*/false);
-    return;
-  }
-  for (const GridCell& cell : cells) {
-    app_trace(cell.app);
-    good_estimate(cell.app);
-    skeleton_for_size(cell.app, cell.size_seconds);
-  }
+  sweep_plan(cells, /*measure=*/false);
 }
 
 void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
                                   bool measure) {
   // One unit per still-uncached product the cells need, listed in
-  // dependency order -- traces, then constructions, then measurement runs
-  // -- so the sweep's lowest-index-first scheduler hands idle workers
-  // construction before runs.  App runs need nothing and start at once.
-  // Each unit writes its own slot (deques keep slot addresses stable); the
-  // installs fill the driver's caches serially after the sweep, in unit
-  // order, because those caches hand out long-lived references.
+  // dependency order -- traces, constructions, skeleton runs, app runs --
+  // so the sweep's lowest-index-first scheduler hands idle workers
+  // construction before runs; app runs need nothing and start at once.
+  // Each unit writes its own slot, a node of a map private to the plan.
+  // The maps are merged into the driver's caches after the sweep, on this
+  // thread, because those caches hand out long-lived references.
   std::vector<std::function<void()>> units;
   std::vector<std::vector<std::size_t>> successors;
-  std::vector<std::function<void()>> installs;
   using Input = std::optional<std::size_t>;  // the unit producing an input
-  const auto add = [&](Input input, std::function<void()> body) {
+  const auto add = [&](Input input, std::function<void()> body) -> Input {
     if (input) successors[*input].push_back(units.size());
     units.push_back(std::move(body));
     successors.emplace_back();
     return units.size() - 1;
   };
 
-  std::deque<trace::Trace> traced;
+  decltype(traces_) traced;
   std::map<std::string, std::pair<const trace::Trace*, Input>> trace_of;
   for (const GridCell& cell : cells) {
     const std::string& app = cell.app;
@@ -315,114 +307,82 @@ void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
     }
     util::log_info() << "tracing " << app << " (class "
                      << apps::class_name(config_.app_class) << ")";
-    trace::Trace& slot = traced.emplace_back();
+    trace::Trace& slot = traced[app];
     trace_of[app] = {&slot, add(std::nullopt, [this, &slot, &app] {
                        slot = framework_.record(
                            program(app, config_.app_class), app);
                      })};
-    installs.push_back([this, &slot, &app] {
-      traces_.emplace(app, std::move(slot));
-    });
   }
 
   // Constructions: one consistent skeleton per (benchmark, size) and the
   // reference signature behind each benchmark's good-skeleton estimate.
   // K depends on the traced time, so the units derive it themselves.
-  double min_size = 0.5;
-  for (double size : config_.skeleton_sizes) min_size = std::min(min_size, size);
-  std::deque<skeleton::Skeleton> built;
-  std::deque<sig::Signature> references;
-  std::set<std::string> estimated;
+  decltype(skeletons_) built;
+  std::map<std::string, sig::Signature> references;
   std::map<std::pair<std::string, long long>,
            std::pair<const skeleton::Skeleton*, Input>>
       skeleton_of;
   for (const GridCell& cell : cells) {
-    const std::string& app = cell.app;
-    const auto [trace, trace_unit] = trace_of.at(app);
-    const auto key = std::make_pair(app, size_key(cell.size_seconds));
-    if (skeleton_of.count(key) == 0) {
-      if (const auto it = skeletons_.find(key); it != skeletons_.end()) {
-        skeleton_of[key] = {&it->second, std::nullopt};
-      } else {
-        skeleton::Skeleton& slot = built.emplace_back();
-        const double size = cell.size_seconds;
-        skeleton_of[key] = {&slot, add(trace_unit, [this, &slot, trace, size] {
-                              slot = framework_.make_consistent_skeleton(
-                                  *trace, std::max(1.0, trace->elapsed() / size));
-                            })};
-        installs.push_back(
-            [this, &slot, key] { skeletons_.emplace(key, std::move(slot)); });
-      }
+    const auto [trace, traced_by] = trace_of.at(cell.app);
+    const auto key = std::make_pair(cell.app, size_key(cell.size_seconds));
+    if (const auto it = skeletons_.find(key); it != skeletons_.end()) {
+      skeleton_of.try_emplace(key, &it->second, std::nullopt);
+    } else if (skeleton_of.count(key) == 0) {
+      skeleton::Skeleton& slot = built[key];
+      skeleton_of[key] = {
+          &slot, add(traced_by, [this, &slot, trace = trace,
+                                 size = cell.size_seconds] {
+            slot = framework_.make_consistent_skeleton(*trace,
+                                                       k_for(*trace, size));
+          })};
     }
-    if (good_estimates_.count(app) == 0 && estimated.insert(app).second) {
-      sig::Signature& slot = references.emplace_back();
-      add(trace_unit, [this, &slot, trace, min_size] {
-        slot = framework_.make_signature(
-            *trace, std::max(1.0, trace->elapsed() / min_size));
-      });
-      installs.push_back([this, &slot, &app, min_size] {
-        const double k = std::max(1.0, traces_.at(app).elapsed() / min_size);
-        const auto it =
-            signatures_.emplace(std::make_pair(app, size_key(k)), std::move(slot))
-                .first;
-        good_estimates_.emplace(app,
-                                skeleton::estimate_good_skeleton(it->second));
+    if (good_estimates_.count(cell.app) == 0 &&
+        references.count(cell.app) == 0) {
+      add(traced_by, [this, &slot = references[cell.app], trace = trace] {
+        slot = framework_.make_signature(*trace,
+                                         k_for(*trace, reference_size()));
       });
     }
   }
 
-  // Measurement runs, each once: skeleton runs keyed (app, size, scenario,
-  // repetition) plus the dedicated calibration run every cell shares, and
-  // app runs keyed (app, scenario, repetition), shared by every size.
-  std::deque<double> elapsed;
-  std::set<std::tuple<std::string, long long, std::string, int>> skeleton_runs;
-  std::set<std::tuple<std::string, std::string, int>> app_runs;
+  // Measurement runs, each once: the dedicated calibration run every cell
+  // shares and the skeleton runs of each (size, scenario, repetition), then
+  // the app runs of each (scenario, repetition), shared by every size.
+  decltype(skeleton_times_) skeleton_runs;
+  decltype(app_times_) app_runs;
   const auto run_skeleton = [&](const GridCell& cell,
                                 const scenario::Scenario& scenario,
                                 int repetition) {
-    auto key = std::make_tuple(cell.app, size_key(cell.size_seconds),
-                               std::string(scenario.name), repetition);
-    if (skeleton_times_.count(key) != 0 || !skeleton_runs.insert(key).second) {
+    const auto key = std::make_tuple(cell.app, size_key(cell.size_seconds),
+                                     std::string(scenario.name), repetition);
+    if (skeleton_times_.count(key) != 0 || skeleton_runs.count(key) != 0) {
       return;
     }
-    const auto [skel, skeleton_unit] =
+    const auto [skel, built_by] =
         skeleton_of.at({cell.app, size_key(cell.size_seconds)});
-    double& slot = elapsed.emplace_back();
-    const double size = cell.size_seconds;
-    add(skeleton_unit, [this, &slot, skel, size, &scenario, repetition] {
+    add(built_by, [this, &slot = skeleton_runs[key], skel = skel,
+                   size = cell.size_seconds, &scenario, repetition] {
       slot = compute_skeleton_time(*skel, size, scenario, repetition);
     });
-    installs.push_back([this, &slot, key = std::move(key)] {
-      skeleton_times_.try_emplace(key, slot);
-    });
   };
-  const auto run_app = [&](const GridCell& cell,
-                           const scenario::Scenario& scenario,
-                           int repetition) {
-    auto key =
-        std::make_tuple(cell.app, std::string(scenario.name), repetition);
-    if (app_times_.count(key) != 0 || !app_runs.insert(key).second) return;
-    double& slot = elapsed.emplace_back();
-    const std::string& app = cell.app;
-    add(std::nullopt, [this, &slot, &app, &scenario, repetition] {
-      slot = compute_app_time(app, scenario, repetition);
-    });
-    installs.push_back([this, &slot, key = std::move(key)] {
-      app_times_.try_emplace(key, slot);
-    });
-  };
-  if (measure) {
-    const int repetitions = std::max(1, config_.repetitions);
-    for (const GridCell& cell : cells) {
-      run_skeleton(cell, scenario::dedicated(), 0);
-      for (int repetition = 0; repetition < repetitions; ++repetition) {
-        run_skeleton(cell, *cell.scenario, repetition);
-      }
+  const int repetitions = std::max(1, config_.repetitions);
+  for (const GridCell& cell : cells) {
+    if (!measure) break;
+    run_skeleton(cell, scenario::dedicated(), 0);
+    for (int repetition = 0; repetition < repetitions; ++repetition) {
+      run_skeleton(cell, *cell.scenario, repetition);
     }
-    for (const GridCell& cell : cells) {
-      for (int repetition = 0; repetition < repetitions; ++repetition) {
-        run_app(cell, *cell.scenario, repetition);
-      }
+  }
+  for (const GridCell& cell : cells) {
+    for (int repetition = 0; measure && repetition < repetitions;
+         ++repetition) {
+      const auto key = std::make_tuple(
+          cell.app, std::string(cell.scenario->name), repetition);
+      if (app_times_.count(key) != 0 || app_runs.count(key) != 0) continue;
+      add(std::nullopt, [this, &slot = app_runs[key], &cell, repetition] {
+        slot = compute_app_time(cell.app, config_.app_class, *cell.scenario,
+                                app_seed(repetition));
+      });
     }
   }
 
@@ -432,8 +392,18 @@ void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
   runner::sweep(
       units.size(), successors, [&](std::size_t i) { units[i](); },
       sweep_options);
+  traces_.merge(traced);
+  skeletons_.merge(built);
+  for (auto& [app, reference] : references) {
+    const double k = k_for(traces_.at(app), reference_size());
+    const auto it =
+        signatures_.emplace(std::make_pair(app, size_key(k)), std::move(reference))
+            .first;
+    good_estimates_.emplace(app, skeleton::estimate_good_skeleton(it->second));
+  }
   std::lock_guard<std::mutex> lock(time_mutex_);
-  for (const auto& install : installs) install();
+  skeleton_times_.merge(skeleton_runs);
+  app_times_.merge(app_runs);
 }
 
 std::vector<PredictionRecord> ExperimentDriver::predict_cells(

@@ -11,6 +11,7 @@
 // slowdown) are implemented here as well.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -104,10 +105,10 @@ class ExperimentDriver {
   std::vector<GridCell> grid_cells() const;
 
   /// Populates the trace / signature / skeleton / good-estimate caches
-  /// every cell needs (each benchmark is traced once): with jobs > 1 as one
-  /// dependency-ordered sweep, with jobs = 1 lazily on the calling thread.
-  /// After warming, predict() and the time getters are safe to call for
-  /// these cells from pool workers.
+  /// every cell needs (each benchmark is traced once) as one
+  /// dependency-ordered sweep with `config().jobs` workers.  After warming,
+  /// predict() and the time getters are safe to call for these cells from
+  /// pool workers.
   void warm(const std::vector<GridCell>& cells);
 
   /// Evaluates the cells with `config().jobs` workers and returns records
@@ -168,13 +169,15 @@ class ExperimentDriver {
   mpi::RankMain program(const std::string& app, apps::NasClass cls) const;
   double class_s_time(const std::string& app,
                       const scenario::Scenario& scenario);
+  /// Skeleton size whose K the good-skeleton estimate compresses for.
+  double reference_size() const;
 
   // Uncached measurement primitives.  Const and state-free (every run
   // builds a fresh simulated machine), so pool workers may call them
   // concurrently; the cached getters above funnel through them.
-  double compute_app_time(const std::string& app,
+  double compute_app_time(const std::string& app, apps::NasClass cls,
                           const scenario::Scenario& scenario,
-                          int repetition) const;
+                          std::uint64_t seed_offset) const;
   double compute_skeleton_time(const skeleton::Skeleton& skeleton,
                                double size_seconds,
                                const scenario::Scenario& scenario,

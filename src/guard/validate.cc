@@ -359,6 +359,9 @@ ValidationReport validate_skeleton(const skeleton::Skeleton& skeleton) {
   }
   check.check_nonneg("header", "intended_time", skeleton.intended_time);
   check.check_nonneg("header", "min_good_time", skeleton.min_good_time);
+  if (skeleton.ranks.empty()) {
+    check.error("header", "no ranks (replay needs at least one)");
+  }
   check_rank_signatures(check, skeleton.ranks);
   check_skeleton_consistency(check, skeleton);
   return check.take();

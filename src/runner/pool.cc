@@ -11,14 +11,9 @@ int resolve_jobs(int requested) {
 }
 
 ThreadPool::ThreadPool(int jobs) : jobs_(resolve_jobs(jobs)) {
-  shards_.reserve(static_cast<std::size_t>(jobs_));
-  for (int i = 0; i < jobs_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   threads_.reserve(static_cast<std::size_t>(jobs_ - 1));
   for (int i = 1; i < jobs_; ++i) {
-    threads_.emplace_back(
-        [this, i] { worker_main(static_cast<std::size_t>(i)); });
+    threads_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -31,31 +26,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-bool ThreadPool::try_pop(std::size_t shard, std::size_t& index) {
-  Shard& own = *shards_[shard];
-  std::lock_guard<std::mutex> lock(own.mutex);
-  if (own.tasks.empty()) return false;
-  index = own.tasks.front();
-  own.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, std::size_t& index) {
-  const std::size_t count = shards_.size();
-  for (std::size_t hop = 1; hop < count; ++hop) {
-    Shard& victim = *shards_[(thief + hop) % count];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      // Steal from the back: the cold end of the victim's block, far from
-      // the indices it will pop next.
-      index = victim.tasks.back();
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
 void ThreadPool::record_failure(std::size_t index, std::exception_ptr error) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!failure_ || index < failure_index_) {
@@ -64,10 +34,8 @@ void ThreadPool::record_failure(std::size_t index, std::exception_ptr error) {
   }
 }
 
-void ThreadPool::drain(std::size_t self,
-                       const std::function<void(std::size_t)>& body) {
-  std::size_t index = 0;
-  while (try_pop(self, index) || try_steal(self, index)) {
+void ThreadPool::drain(const std::function<void(std::size_t)>& body) {
+  for (std::size_t index = next_++; index < count_; index = next_++) {
     try {
       body(index);
     } catch (...) {
@@ -78,7 +46,7 @@ void ThreadPool::drain(std::size_t self,
   }
 }
 
-void ThreadPool::worker_main(std::size_t self) {
+void ThreadPool::worker_main() {
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t)>* body = nullptr;
@@ -92,7 +60,7 @@ void ThreadPool::worker_main(std::size_t self) {
       body = body_;
       ++active_workers_;
     }
-    drain(self, *body);
+    drain(*body);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--active_workers_ == 0) done_cv_.notify_all();
@@ -104,28 +72,21 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   if (jobs_ == 1 || count == 1) {
-    // Serial fast path: no queues, no locks, exceptions propagate directly.
+    // Serial fast path: no counter, no locks, exceptions propagate directly.
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t shards = shards_.size();
-    for (std::size_t s = 0; s < shards; ++s) {
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> shard_lock(shard.mutex);
-      for (std::size_t i = count * s / shards; i < count * (s + 1) / shards;
-           ++i) {
-        shard.tasks.push_back(i);
-      }
-    }
     body_ = &body;
+    count_ = count;
+    next_ = 0;
     remaining_ = count;
     failure_ = nullptr;
     ++generation_;
   }
   start_cv_.notify_all();
-  drain(0, body);
+  drain(body);
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return remaining_ == 0 && active_workers_ == 0; });
   body_ = nullptr;

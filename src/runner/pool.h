@@ -1,10 +1,9 @@
-// Work-stealing fork-join thread pool for the sweep executor.
+// Fork-join thread pool for the sweep executor and the service's batches.
 //
-// Design: one task deque per worker.  parallel_for slices the index range
-// into contiguous per-worker blocks; each worker drains its own deque from
-// the front and, when it runs dry, steals single indices from the back of
-// another worker's block.  The caller thread participates as worker 0, so a
-// one-job pool runs everything inline with no thread handoff at all.
+// Design: parallel_for hands out indices from one shared atomic counter;
+// each worker claims the next unclaimed index until none is left.  The
+// caller thread participates as worker 0, so a one-job pool runs
+// everything inline with no thread handoff at all.
 //
 // Determinism: the pool only decides *which thread* runs an index, never
 // *what* is computed -- bodies write to caller-owned slots keyed by index,
@@ -13,13 +12,12 @@
 // what a serial left-to-right loop would have reported.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -50,31 +48,25 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body);
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;
-  };
-
-  void worker_main(std::size_t self);
-  /// Runs tasks from the own shard, then steals, until all shards are dry.
-  void drain(std::size_t self, const std::function<void(std::size_t)>& body);
-  bool try_pop(std::size_t shard, std::size_t& index);
-  bool try_steal(std::size_t thief, std::size_t& index);
+  void worker_main();
+  /// Runs unclaimed indices of the current generation until none is left.
+  void drain(const std::function<void(std::size_t)>& body);
   void record_failure(std::size_t index, std::exception_ptr error);
 
   int jobs_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
 
   // Job lifecycle state.  A "generation" is one parallel_for call; workers
   // sleep between generations.  parallel_for returns only after every
-  // worker left drain(), so shard deques are never touched across
+  // worker left drain(), so count_ and next_ are never read across
   // generations.
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t generation_ = 0;
   const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t count_ = 0;
+  std::atomic<std::size_t> next_{0};
   std::size_t remaining_ = 0;
   int active_workers_ = 0;
   bool shutdown_ = false;

@@ -15,10 +15,10 @@ void sweep(std::size_t count,
            const std::function<void(std::size_t)>& body,
            const SweepOptions& options) {
   obs::PhaseProfiler::Scope scope(options.profiler, "sweep");
-  util::require(successors.empty() || successors.size() == count,
-                "sweep: successors must list every unit or none");
+  util::require(successors.size() == count,
+                "sweep: successors must list every unit");
   std::vector<std::size_t> waiting(count, 0);  // unfinished inputs per unit
-  for (std::size_t i = 0; i < successors.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     for (const std::size_t next : successors[i]) {
       util::require(next > i && next < count,
                     "sweep: a successor must come after its input");
@@ -26,36 +26,29 @@ void sweep(std::size_t count,
     }
   }
 
-  // Scheduler state, guarded by `mutex`.  A unit is skipped (finished
-  // without running) when any of its inputs failed or was skipped.
+  // Scheduler state, guarded by `mutex`.
   std::mutex mutex;
   std::condition_variable changed;
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      std::greater<>>
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
       ready;
   for (std::size_t i = 0; i < count; ++i) {
     if (waiting[i] == 0) ready.push(i);
   }
-  std::vector<char> failed(count, 0);
+  std::vector<char> failed(count, 0);  // threw, or an input failed
   std::size_t unfinished = count;
   std::exception_ptr failure;
   std::size_t failure_index = 0;
-
-  const auto finish = [&](std::size_t unit) {
-    std::vector<std::size_t> done{unit};
-    while (!done.empty()) {
-      const std::size_t i = done.back();
-      done.pop_back();
-      --unfinished;
-      if (successors.empty()) continue;
-      for (const std::size_t next : successors[i]) {
-        failed[next] = static_cast<char>(failed[next] | failed[i]);
-        if (--waiting[next] != 0) continue;
-        if (failed[next] != 0) {
-          done.push_back(next);
-        } else {
-          ready.push(next);
-        }
+  // A finished unit readies each successor whose last input it was; a
+  // successor with a failed input is finished at once without running.
+  const std::function<void(std::size_t)> finish = [&](std::size_t i) {
+    --unfinished;
+    for (const std::size_t next : successors[i]) {
+      failed[next] = static_cast<char>(failed[next] | failed[i]);
+      if (--waiting[next] != 0) continue;
+      if (failed[next] != 0) {
+        finish(next);
+      } else {
+        ready.push(next);
       }
     }
   };
@@ -86,14 +79,13 @@ void sweep(std::size_t count,
     }
   };
 
+  // One worker loop per pool slot; the pool lives for one sweep, its spawn
+  // cost amortized over simulations of a millisecond or more.
   const std::size_t workers =
       std::min(count, static_cast<std::size_t>(resolve_jobs(options.jobs)));
   if (workers <= 1) {
     work(0);
   } else {
-    // One long-lived worker loop per pool slot; the pool lives for one
-    // sweep, its spawn cost amortized over simulations of a millisecond or
-    // more.
     ThreadPool pool(static_cast<int>(workers));
     pool.parallel_for(workers, work);
   }
@@ -102,7 +94,7 @@ void sweep(std::size_t count,
 
 void sweep(std::size_t count, const std::function<void(std::size_t)>& body,
            const SweepOptions& options) {
-  sweep(count, {}, body, options);
+  sweep(count, std::vector<std::vector<std::size_t>>(count), body, options);
 }
 
 }  // namespace psk::runner

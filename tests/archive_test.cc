@@ -421,6 +421,27 @@ TEST(Archive, TruncatedFrameReportsTruncated) {
   EXPECT_EQ(frame.error().code, archive::ErrorCode::kTruncated);
 }
 
+TEST(Archive, TornChecksumReportsThePayloadBytesPresent) {
+  // A skeleton archive cut by 4 bytes keeps its whole payload and half of
+  // the checksum; the report counts payload bytes only, so it reads as
+  // the 4 bytes that are missing.
+  std::string payload;
+  archive::encode(payload, sample_skeleton("CG"));
+  std::string bytes;
+  archive::write_frame(bytes, archive::PayloadKind::kSkeleton,
+                       archive::kSkeletonVersion, payload);
+  bytes.resize(bytes.size() - 4);
+  const auto frame = archive::read_frame(bytes);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.error().code, archive::ErrorCode::kTruncated);
+  EXPECT_NE(frame.error().message.find(
+                "payload declares " + std::to_string(payload.size()) +
+                " byte(s) but only " + std::to_string(payload.size() - 4) +
+                " remain"),
+            std::string::npos)
+      << frame.error().message;
+}
+
 TEST(Archive, TrailingBytesReportCorrupt) {
   std::string bytes;
   archive::write_frame(bytes, archive::PayloadKind::kTrace, 1, "payload");

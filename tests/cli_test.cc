@@ -213,6 +213,19 @@ TEST_F(CliArchive, InfoPrintsZeroRankArchives) {
   EXPECT_EQ(exit_status(run_psk("info --skeleton=" + skel_path)), 0);
 }
 
+TEST_F(CliArchive, StrictRunRefusesZeroRankSkeleton) {
+  // Well-formed but empty: strict validation refuses it as invalid input
+  // (exit 2) before any replay is configured.
+  psk::skeleton::Skeleton skeleton;
+  skeleton.app_name = "empty";
+  const std::string path = scratch("empty.skel");
+  ASSERT_TRUE(psk::archive::save(path, skeleton).ok());
+  const CommandResult result = run_psk("run --skeleton=" + path);
+  EXPECT_EQ(exit_status(result), 2) << result.stderr_text;
+  EXPECT_NE(result.stderr_text.find("no ranks"), std::string::npos)
+      << result.stderr_text;
+}
+
 TEST_F(CliArchive, SalvageRunsTruncatedSkeleton) {
   const std::string trace = scratch("s.trace");
   const std::string skeleton = scratch("s.skel");

@@ -3,7 +3,10 @@
 // element-wise identical to the serial one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -108,6 +111,99 @@ TEST(Sweep, EmptyAndSingleCounts) {
   EXPECT_EQ(calls, 0);
   sweep(1, [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);
+}
+
+// ------------------------------------------------------- dependency sweep
+
+/// A seeded random plan: each unit depends on up to three earlier units.
+std::vector<std::vector<std::size_t>> random_successors(std::size_t count,
+                                                        unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::vector<std::size_t>> successors(count);
+  for (std::size_t unit = 1; unit < count; ++unit) {
+    std::uniform_int_distribution<std::size_t> input(0, unit - 1);
+    for (int edges = static_cast<int>(rng() % 4); edges > 0; --edges) {
+      const std::size_t from = input(rng);
+      std::vector<std::size_t>& list = successors[from];
+      if (std::find(list.begin(), list.end(), unit) == list.end()) {
+        list.push_back(unit);
+      }
+    }
+  }
+  return successors;
+}
+
+TEST(Sweep, GraphRunsEachUnitOnceAfterAllOfItsInputs) {
+  constexpr std::size_t kCount = 400;
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    const auto successors = random_successors(kCount, seed);
+    std::vector<std::vector<std::size_t>> inputs(kCount);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      for (const std::size_t next : successors[i]) inputs[next].push_back(i);
+    }
+    std::vector<std::atomic<int>> runs(kCount);
+    std::vector<std::atomic<bool>> done(kCount);
+    std::atomic<int> early{0};
+    SweepOptions options;
+    options.jobs = 4;
+    sweep(
+        kCount, successors,
+        [&](std::size_t i) {
+          for (const std::size_t input : inputs[i]) {
+            if (!done[input].load()) early.fetch_add(1);
+          }
+          runs[i].fetch_add(1);
+          done[i].store(true);
+        },
+        options);
+    EXPECT_EQ(early.load(), 0) << "seed " << seed;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "seed " << seed << ", unit " << i;
+    }
+  }
+}
+
+TEST(Sweep, GraphFailureRethrowsLowestIndexAndSkipsDependents) {
+  // 3 -> 5 -> 8 and 4 -> 8: units 3 and 200 throw, so 5 and 8 never run
+  // (8 has a good input too) while everything else does.  A serial loop
+  // would report unit 3's failure first.
+  std::vector<std::vector<std::size_t>> successors(256);
+  successors[3] = {5};
+  successors[5] = {8};
+  successors[4] = {8};
+  successors[200] = {201};
+  for (const int jobs : {1, 4}) {
+    for (int round = 0; round < 16; ++round) {
+      std::vector<std::atomic<int>> runs(256);
+      SweepOptions options;
+      options.jobs = jobs;
+      try {
+        sweep(
+            256, successors,
+            [&](std::size_t i) {
+              runs[i].fetch_add(1);
+              if (i == 3 || i == 200) {
+                throw std::runtime_error("boom at " + std::to_string(i));
+              }
+            },
+            options);
+        FAIL() << "expected the sweep to throw";
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "boom at 3");
+      }
+      for (std::size_t i = 0; i < 256; ++i) {
+        const bool skipped = i == 5 || i == 8 || i == 201;
+        ASSERT_EQ(runs[i].load(), skipped ? 0 : 1)
+            << "jobs " << jobs << ", unit " << i;
+      }
+    }
+  }
+}
+
+TEST(Sweep, GraphRejectsBackwardEdges) {
+  std::vector<std::vector<std::size_t>> successors(3);
+  successors[2] = {1};
+  EXPECT_THROW(sweep(3, successors, [](std::size_t) {}), ConfigError);
 }
 
 // -------------------------------------------------------- journaled sweep
@@ -370,15 +466,8 @@ core::ExperimentConfig grid_config(int jobs) {
   return config;
 }
 
-TEST(Sweep, ParallelGridIsBitIdenticalToSerial) {
-  // The ISSUE acceptance test: run_grid() with jobs=4 must be element-wise
-  // bit-identical to jobs=1.  Fresh drivers per run so no caches leak.
-  core::ExperimentDriver serial(grid_config(1));
-  const std::vector<core::PredictionRecord> expect = serial.run_grid();
-
-  core::ExperimentDriver parallel(grid_config(4));
-  const std::vector<core::PredictionRecord> got = parallel.run_grid();
-
+void expect_same_records(const std::vector<core::PredictionRecord>& got,
+                         const std::vector<core::PredictionRecord>& expect) {
   ASSERT_EQ(got.size(), expect.size());
   ASSERT_FALSE(expect.empty());
   for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -396,6 +485,41 @@ TEST(Sweep, ParallelGridIsBitIdenticalToSerial) {
     EXPECT_EQ(got[i].good, expect[i].good);
     EXPECT_EQ(got[i].min_good_time, expect[i].min_good_time);
   }
+}
+
+TEST(Sweep, ParallelGridIsBitIdenticalToSerial) {
+  // The ISSUE acceptance test: run_grid() with jobs=4 must be element-wise
+  // bit-identical to jobs=1.  Fresh drivers per run so no caches leak.
+  core::ExperimentDriver serial(grid_config(1));
+  core::ExperimentDriver parallel(grid_config(4));
+  expect_same_records(parallel.run_grid(), serial.run_grid());
+}
+
+TEST(Sweep, SingleSweepGridMatchesSerialWarmedAndUncached) {
+  // Three apps x two sizes through the one dependency-ordered sweep: the
+  // records are bit-identical serially, in parallel with the result cache
+  // on, in parallel after warm() built the skeletons, and with the cache
+  // off.
+  const auto config = [](int jobs, bool cached) {
+    core::ExperimentConfig config = grid_config(jobs);
+    config.benchmarks = {"MG", "IS", "LU"};
+    if (cached) {
+      config.framework.result_cache = std::make_shared<cache::ResultCache>();
+    }
+    return config;
+  };
+  core::ExperimentDriver serial(config(1, false));
+  const std::vector<core::PredictionRecord> expect = serial.run_grid();
+
+  core::ExperimentDriver parallel(config(4, true));
+  expect_same_records(parallel.run_grid(), expect);
+
+  core::ExperimentDriver warmed(config(4, true));
+  warmed.warm(warmed.grid_cells());
+  expect_same_records(warmed.run_grid(), expect);
+
+  core::ExperimentDriver uncached(config(4, false));
+  expect_same_records(uncached.run_grid(), expect);
 }
 
 TEST(Sweep, GridCellOrderMatchesSerialNesting) {
