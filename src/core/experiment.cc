@@ -365,24 +365,27 @@ void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
       slot = compute_skeleton_time(*skel, size, scenario, repetition);
     });
   };
-  const int repetitions = std::max(1, config_.repetitions);
-  for (const GridCell& cell : cells) {
-    if (!measure) break;
-    run_skeleton(cell, scenario::dedicated(), 0);
-    for (int repetition = 0; repetition < repetitions; ++repetition) {
-      run_skeleton(cell, *cell.scenario, repetition);
+  const auto run_app = [&](const GridCell& cell, int repetition) {
+    const auto key = std::make_tuple(
+        cell.app, std::string(cell.scenario->name), repetition);
+    if (app_times_.count(key) != 0 || app_runs.count(key) != 0) return;
+    add(std::nullopt, [this, &slot = app_runs[key], &cell, repetition] {
+      slot = compute_app_time(cell.app, config_.app_class, *cell.scenario,
+                              app_seed(repetition));
+    });
+  };
+  if (measure) {
+    const int repetitions = std::max(1, config_.repetitions);
+    for (const GridCell& cell : cells) {
+      run_skeleton(cell, scenario::dedicated(), 0);
+      for (int repetition = 0; repetition < repetitions; ++repetition) {
+        run_skeleton(cell, *cell.scenario, repetition);
+      }
     }
-  }
-  for (const GridCell& cell : cells) {
-    for (int repetition = 0; measure && repetition < repetitions;
-         ++repetition) {
-      const auto key = std::make_tuple(
-          cell.app, std::string(cell.scenario->name), repetition);
-      if (app_times_.count(key) != 0 || app_runs.count(key) != 0) continue;
-      add(std::nullopt, [this, &slot = app_runs[key], &cell, repetition] {
-        slot = compute_app_time(cell.app, config_.app_class, *cell.scenario,
-                                app_seed(repetition));
-      });
+    for (const GridCell& cell : cells) {
+      for (int repetition = 0; repetition < repetitions; ++repetition) {
+        run_app(cell, repetition);
+      }
     }
   }
 
@@ -396,10 +399,12 @@ void ExperimentDriver::sweep_plan(const std::vector<GridCell>& cells,
   skeletons_.merge(built);
   for (auto& [app, reference] : references) {
     const double k = k_for(traces_.at(app), reference_size());
-    const auto it =
-        signatures_.emplace(std::make_pair(app, size_key(k)), std::move(reference))
-            .first;
-    good_estimates_.emplace(app, skeleton::estimate_good_skeleton(it->second));
+    const auto it = signatures_
+                        .emplace(std::make_pair(app, size_key(k)),
+                                 std::move(reference))
+                        .first;
+    good_estimates_.emplace(app,
+                            skeleton::estimate_good_skeleton(it->second));
   }
   std::lock_guard<std::mutex> lock(time_mutex_);
   skeleton_times_.merge(skeleton_runs);

@@ -196,11 +196,12 @@ class ExperimentDriver {
   SkeletonFramework framework_;
 
   // Construction caches (traces_, signatures_, skeletons_, good_estimates_)
-  // hand out long-lived references and are populated only on the calling
-  // thread (lazily, or by sweep_plan's installs) -- never from pool workers.  The scalar time caches are
-  // guarded by time_mutex_ so ad-hoc app_time()/skeleton_time() calls are
-  // safe from pool workers too; racing lookups may compute a value twice,
-  // but the simulations are deterministic so both results are identical.
+  // hand out long-lived references and are filled only on the calling
+  // thread (lazily, or after a sweep_plan sweep) -- never from pool
+  // workers.  The scalar time caches are guarded by time_mutex_ so ad-hoc
+  // app_time()/skeleton_time() calls are safe from pool workers too;
+  // racing lookups may compute a value twice, but the simulations are
+  // deterministic so both results are identical.
   std::map<std::string, trace::Trace> traces_;
   std::map<std::tuple<std::string, std::string, int>, double> app_times_;
   std::map<std::pair<std::string, std::string>, double> class_s_times_;

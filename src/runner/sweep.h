@@ -32,10 +32,11 @@ struct SweepOptions {
 
 /// Runs body(i) for every i in [0, count), concurrently when options allow.
 /// successors[i] lists the units that need unit i, one list per unit; each
-/// must have a larger index, so index order is a valid serial order.  A unit starts only after all of its inputs finished, and
-/// ready units start lowest index first.  The dependents of a unit that
-/// throws are skipped; the lowest-index exception is rethrown, like a serial
-/// loop would report it.
+/// must have a larger index, so index order is a valid serial order.  A
+/// unit starts only after all of its inputs finished, and ready units start
+/// lowest index first.  The dependents of a unit that throws are skipped;
+/// the lowest-index exception is rethrown, like a serial loop would report
+/// it.
 void sweep(std::size_t count,
            const std::vector<std::vector<std::size_t>>& successors,
            const std::function<void(std::size_t)>& body,

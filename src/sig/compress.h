@@ -60,9 +60,9 @@ struct FoldOptions {
 /// independently (see CompressOptions::anchor_at_collectives).
 SigSeq fold_anchored(SigSeq seq, const FoldOptions& options = {});
 
-/// Folds maximal tandem repeats into loop nodes, smallest period first,
-/// iterating to a fixpoint (inner loops collapse first, enabling outer
-/// ones).  Exposed for unit testing.
+/// Folds maximal tandem repeats into loop nodes, largest period first,
+/// iterating to a fixpoint (each collapse can expose further repeats).
+/// Exposed for unit testing.
 SigSeq fold_loops(SigSeq seq, const FoldOptions& options = {});
 
 /// Compresses a *folded* trace (see trace::fold_nonblocking) into an
