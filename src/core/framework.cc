@@ -145,15 +145,18 @@ std::uint64_t SkeletonFramework::scenario_run_seed(
   // mix in a hash of their name so each fault scenario gets its own seed
   // stream.  Non-fault scenarios keep the original derivation exactly, so
   // pre-fault results stay bit-identical.
-  if (!scenario.has_fault() && scenario.kind == scenario::Kind::kDedicated &&
-      seed_offset == 0) {
-    return options_.dedicated_seed;
+  if (!scenario.has_fault()) {
+    if (scenario.kind == scenario::Kind::kDedicated && seed_offset == 0) {
+      return options_.dedicated_seed;
+    }
+    // Distinct stream per scenario kind and offset.
+    return options_.scenario_seed +
+           static_cast<std::uint64_t>(scenario.kind) * 7919 +
+           seed_offset * 104729;
   }
-  // Distinct stream per scenario kind and offset.
   return options_.scenario_seed +
          static_cast<std::uint64_t>(scenario.kind) * 7919 +
-         seed_offset * 104729 +
-         (scenario.has_fault() ? fnv1a(scenario.name) : 0);
+         seed_offset * 104729 + fnv1a(scenario.name);
 }
 
 double SkeletonFramework::run_app(const mpi::RankMain& app,

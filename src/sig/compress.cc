@@ -68,7 +68,6 @@ bool collapse_period(SigSeq& seq, FpColumn& fp, std::size_t p,
   std::size_t i = 0;
   while (i + 2 * p <= seq.size() && !block_equal(seq, fp, i, i + p, p)) ++i;
   if (i + 2 * p > seq.size()) return false;
-  bool changed = false;
   SigSeq out;
   out.reserve(seq.size());
   out.insert(out.end(), std::make_move_iterator(seq.begin()),
@@ -88,7 +87,6 @@ bool collapse_period(SigSeq& seq, FpColumn& fp, std::size_t p,
       body = fold_loops(std::move(body), FoldOptions{max_period});
       out.push_back(SigNode::loop(repeats, std::move(body)));
       i += static_cast<std::size_t>(repeats) * q;
-      changed = true;
     } else {
       out.push_back(std::move(seq[i]));
       ++i;
@@ -96,7 +94,7 @@ bool collapse_period(SigSeq& seq, FpColumn& fp, std::size_t p,
   }
   seq = std::move(out);
   fp = fingerprints_of(seq);
-  return changed;
+  return true;
 }
 
 /// Column views of every rank's event stream, built once and reused across
