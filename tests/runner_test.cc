@@ -488,8 +488,9 @@ void expect_same_records(const std::vector<core::PredictionRecord>& got,
 }
 
 TEST(Sweep, ParallelGridIsBitIdenticalToSerial) {
-  // The ISSUE acceptance test: run_grid() with jobs=4 must be element-wise
-  // bit-identical to jobs=1.  Fresh drivers per run so no caches leak.
+  // The runner's headline guarantee: run_grid() with jobs=4 must be
+  // element-wise bit-identical to jobs=1.  Fresh drivers per run so no
+  // caches leak.
   core::ExperimentDriver serial(grid_config(1));
   core::ExperimentDriver parallel(grid_config(4));
   expect_same_records(parallel.run_grid(), serial.run_grid());
